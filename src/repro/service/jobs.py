@@ -156,8 +156,7 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
 def options_to_dict(options: AnalysisOptions) -> dict:
     """The inverse of :func:`options_from_dict`: the JSON ``options``
     object a job payload carries for these analysis options (defaults
-    omitted).  ``lp_jobs`` is intentionally dropped — the fleet is the
-    worker budget, and parallelism never changes results."""
+    omitted)."""
     out: dict = {}
     if options.moment_degree != 2:
         out["moments"] = options.moment_degree
@@ -492,13 +491,6 @@ def worker_main(
         signal.signal(signal.SIGINT, _on_term)
     except ValueError:
         pass  # not the main thread (in-process tests): rely on max_jobs
-
-    # Workers never nest pools: the fleet is the process budget (mirrors
-    # the batch executor's one-worker-budget rule).
-    from repro.lp.parallel import forget_pool
-
-    forget_pool()
-    os.environ.setdefault("REPRO_LP_JOBS", "1")
 
     store = JobStore(db_path, visibility=visibility)
     cache = ArtifactCache(cache_dir) if cache_dir else None

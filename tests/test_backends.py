@@ -358,11 +358,13 @@ class TestInfeasibilityDiagnostics:
         assert "keep" in lp.infeasibility_diagnostics()
 
 
-class TestWorkerRowReplay:
-    """The CSR shipping contract of the parallel solve layer: a worker that
-    rebuilds a model from ``row_arrays`` exports must reach the same optimum
-    as the backend that owns the original rows — for either backend, and
-    incrementally (appending only the suffix past already-ingested rows)."""
+class TestRowArraysRoundTrip:
+    """The ``row_arrays`` export contract the reduction layer rebuilds
+    stacked and merged block models from: a fresh backend that replays the
+    exported CSR rows through ``add_row`` must reach the same optimum as
+    the backend that owns the original rows — for either backend, and
+    incrementally (replaying only a suffix export past already-ingested
+    rows)."""
 
     def _build(self, backend_name):
         lp = LPProblem(backend=get_backend(backend_name))
@@ -371,45 +373,52 @@ class TestWorkerRowReplay:
         lp.add_ge(AffForm.of_var(x) - 2.0)
         return lp, x, y
 
+    @staticmethod
+    def _replica(backend_name):
+        replica = LPProblem(backend=get_backend(backend_name))
+        replica.fresh_nonneg("x")
+        replica.fresh_nonneg("y")
+        return replica
+
+    @staticmethod
+    def _replay(backend, kind, arrays) -> int:
+        starts, cols, vals, rhs = arrays
+        for r in range(len(rhs)):
+            lo, hi = int(starts[r]), int(starts[r + 1])
+            terms = dict(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+            backend.add_row(kind, terms, -float(rhs[r]))
+        return len(rhs)
+
     @pytest.mark.parametrize("backend", ["dense", "incremental"])
     def test_replayed_rows_solve_identically(self, backend):
-        from repro.lp.parallel import _WorkerShim, _worker_append_rows
-
         lp, x, y = self._build(backend)
-        want = lp.solve(AffForm.of_var(x) + AffForm.of_var(y), reduce=False)
+        objective = AffForm.of_var(x) + AffForm.of_var(y)
+        want = lp.solve(objective, reduce=False)
 
-        replica = get_backend(backend)
-        shim = _WorkerShim(len(lp.pool), set(lp.nonneg_indices))
-        eq_rows = _worker_append_rows(replica, "eq", lp.backend.row_arrays("eq"), 0)
-        ge_rows = _worker_append_rows(replica, "ge", lp.backend.row_arrays("ge"), 0)
+        replica = self._replica(backend)
+        eq_rows = self._replay(replica.backend, "eq", lp.backend.row_arrays("eq"))
+        ge_rows = self._replay(replica.backend, "ge", lp.backend.row_arrays("ge"))
         assert (eq_rows, ge_rows) == (1, 1)
-        got = replica.solve(
-            shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7
-        )
+        got = replica.solve(objective, reduce=False)
         assert got.values.tolist() == want.values.tolist()
 
     def test_suffix_append_matches_full_rebuild(self):
-        from repro.lp.parallel import _WorkerShim, _worker_append_rows
-
         lp, x, y = self._build("incremental")
-        replica = get_backend("incremental")
-        shim = _WorkerShim(len(lp.pool), set(lp.nonneg_indices))
-        _worker_append_rows(replica, "eq", lp.backend.row_arrays("eq"), 0)
-        ge_rows = _worker_append_rows(replica, "ge", lp.backend.row_arrays("ge"), 0)
+        replica = self._replica("incremental")
+        self._replay(replica.backend, "eq", lp.backend.row_arrays("eq"))
+        self._replay(replica.backend, "ge", lp.backend.row_arrays("ge"))
         # Identical first solves on both sides: parity on degenerate faces
         # needs identical warm-start trajectories, not just identical rows.
         objective = AffForm.of_var(x) + AffForm.of_var(y)
         lp.solve(objective, reduce=False)
-        replica.solve(shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7)
+        replica.solve(objective, reduce=False)
 
-        # New parent row arrives; the worker appends only the suffix.
+        # A new row arrives; the replica replays only the suffix export.
         lp.add_ge(AffForm.of_var(y) - 4.0)
-        ge_rows = _worker_append_rows(
-            replica, "ge", lp.backend.row_arrays("ge"), ge_rows
-        )
-        assert ge_rows == 2
+        suffix = lp.backend.row_arrays("ge", 1)
+        assert suffix[0].tolist()[0] == 0  # suffix starts are zero-based
+        assert self._replay(replica.backend, "ge", suffix) == 1
+        assert replica.backend.num_rows("ge") == 2
         want = lp.solve(objective, reduce=False)
-        got = replica.solve(
-            shim, {x.index: 1.0, y.index: 1.0}, 0.0, True, 1e12, 1e-7
-        )
+        got = replica.solve(objective, reduce=False)
         assert got.values.tolist() == want.values.tolist()

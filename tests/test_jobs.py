@@ -99,10 +99,6 @@ class TestPayloads:
             back = options_from_dict(options_to_dict(options))
             assert back == options, options
 
-    def test_lp_jobs_never_crosses_the_queue(self):
-        options = AnalysisOptions(lp_jobs=4)
-        assert "lp_jobs" not in options_to_dict(options)
-
     def test_idempotency_key_is_content_derived(self):
         a = job_idempotency_key("analyze", analyze_payload(SIMPLE, FAST))
         # Whitespace-different program, same canonical content.

@@ -159,6 +159,7 @@ class TestFaults:
             "unknown.point:raise:1:0",
             "cache.read:frobnicate:1:0",
             "cache.read:raise:1.5:0",  # prob out of range
+            "lp.worker_ipc:raise:1:0",  # stale point name: must not arm silently
         ):
             with pytest.raises(ValueError):
                 faults.configure(bad)
