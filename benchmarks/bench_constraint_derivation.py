@@ -4,13 +4,18 @@ Times stage 3 of the pipeline (``AnalysisPipeline.constraint_system``) in
 isolation on the Fig. 10 scalability programs at moment degree 4 — the
 workload whose profile motivated the symbolic kernel (interned monomials,
 memoized certificate bases, vectorized λ-column emission, substitution
-plans).  Three configurations are measured:
+plans), the analyzer's only derivation path.  Two columns are reported:
 
-* ``kernel``  — the default path (``REPRO_DISABLE_POLY_KERNEL`` unset),
-* ``legacy``  — the dict-path fallback behind the kill switch,
+* ``kernel``  — the measured derivation times,
 * ``seed``    — hardcoded pre-kernel timings (commit ``18c0ce8``) from the
   machine grid this file was introduced on; the acceptance metric is
   ``seed_total / kernel_total >= 2``.
+
+On other hardware the seed timings say little, so the acceptance falls
+back to an in-run proxy: the same derivations with the textbook dict loops
+of ``tests/dict_path_oracle.py`` swapped into the analyzer, which the
+kernel must beat by 10%.  The proxy is an assertion input only, not a
+recorded column.
 
 Every measured round resets the process-wide certificate-basis and
 substitution-plan memo tables, so the numbers are honest cold-start
@@ -25,15 +30,21 @@ so future perf work starts from the same data this PR did.
 
 import json
 import pathlib
+import sys
 import time
+from contextlib import nullcontext
 
 from _harness import emit, timed_median
 from repro import AnalysisOptions, AnalysisPipeline
 from repro.logic.handelman import clear_certificate_caches
-from repro.poly.kernel import clear_plan_caches, kernel_override
+from repro.poly.kernel import clear_plan_caches
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
-RESULT_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_constraints.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RESULT_PATH = ROOT / "BENCH_constraints.json"
+
+sys.path.insert(0, str(ROOT / "tests"))
+import dict_path_oracle  # noqa: E402  (the parity oracle, timed as a proxy)
 
 #: Stage-3 (constraint derivation) seconds of the pre-kernel analyzer
 #: (commit 18c0ce8) on this benchmark grid at moment degree 4.
@@ -63,8 +74,8 @@ def _reset_memos() -> None:
     clear_plan_caches()
 
 
-def _derivation_seconds(make, kernel: bool) -> float:
-    """Median cold-memo derivation time with the kernel forced on/off.
+def _derivation_seconds(make, on_oracle: bool = False) -> float:
+    """Median cold-memo derivation time, on the kernel or on the oracle.
 
     Stages 1+2 are primed in the (untimed) per-round setup: this benchmark
     times constraint derivation, not parsing/abstract interpretation.  A
@@ -80,7 +91,7 @@ def _derivation_seconds(make, kernel: bool) -> float:
         state["pipe"] = pipe
 
     def run():
-        with kernel_override(kernel):
+        with dict_path_oracle.installed() if on_oracle else nullcontext():
             state["pipe"].constraint_system(
                 AnalysisOptions(moment_degree=MOMENT_DEGREE)
             )
@@ -90,7 +101,7 @@ def _derivation_seconds(make, kernel: bool) -> float:
 
 
 def _stage_split(make) -> dict[str, float]:
-    """Per-stage wall times of one cold full analysis (kernel on)."""
+    """Per-stage wall times of one cold full analysis."""
     _reset_memos()
     pipe = AnalysisPipeline(make())
     options = AnalysisOptions(moment_degree=MOMENT_DEGREE)
@@ -112,36 +123,25 @@ def _stage_split(make) -> dict[str, float]:
 
 def test_constraint_derivation(benchmark):
     benchmark.pedantic(
-        lambda: _derivation_seconds(WORKLOAD["coupon_chain(4)"], True),
+        lambda: _derivation_seconds(WORKLOAD["coupon_chain(4)"]),
         rounds=1, iterations=1,
     )
-    kernel = {n: _derivation_seconds(m, True) for n, m in WORKLOAD.items()}
-    legacy = {n: _derivation_seconds(m, False) for n, m in WORKLOAD.items()}
+    kernel = {n: _derivation_seconds(m) for n, m in WORKLOAD.items()}
+    oracle_total = sum(_derivation_seconds(m, True) for m in WORKLOAD.values())
     split = _stage_split(WORKLOAD["rdwalk_chain(2)"])
 
     kernel_total = sum(kernel.values())
-    legacy_total = sum(legacy.values())
     seed_total = sum(SEED_SECONDS.values())
     speedup_vs_seed = seed_total / kernel_total
-    speedup_vs_legacy = legacy_total / kernel_total
 
     lines = [
         f"Constraint-derivation benchmark ({MOMENT_DEGREE}th-moment fig10 workload)",
-        f"{'case':>18} {'seed (s)':>9} {'legacy (s)':>11} {'kernel (s)':>11}",
+        f"{'case':>18} {'seed (s)':>9} {'kernel (s)':>11}",
     ]
     for name in WORKLOAD:
-        lines.append(
-            f"{name:>18} {SEED_SECONDS[name]:>9.3f} "
-            f"{legacy[name]:>11.3f} {kernel[name]:>11.3f}"
-        )
-    lines.append(
-        f"{'total':>18} {seed_total:>9.3f} {legacy_total:>11.3f} "
-        f"{kernel_total:>11.3f}"
-    )
-    lines.append(
-        f"speedup: {speedup_vs_seed:.2f}x vs seed, "
-        f"{speedup_vs_legacy:.2f}x vs kernel-off"
-    )
+        lines.append(f"{name:>18} {SEED_SECONDS[name]:>9.3f} {kernel[name]:>11.3f}")
+    lines.append(f"{'total':>18} {seed_total:>9.3f} {kernel_total:>11.3f}")
+    lines.append(f"speedup: {speedup_vs_seed:.2f}x vs seed")
     lines.append(
         "rdwalk_chain(2) stage split: "
         + ", ".join(f"{k} {v:.3f}s" for k, v in split.items())
@@ -158,13 +158,10 @@ def test_constraint_derivation(benchmark):
                 "warmup": WARMUP,
                 "timing": "median of rounds, memo tables cleared per round",
                 "seed_seconds": SEED_SECONDS,
-                "legacy_seconds": {k: round(v, 4) for k, v in legacy.items()},
                 "kernel_seconds": {k: round(v, 4) for k, v in kernel.items()},
                 "seed_total_seconds": round(seed_total, 4),
-                "legacy_total_seconds": round(legacy_total, 4),
                 "derivation_total_seconds": round(kernel_total, 4),
                 "speedup_vs_seed": round(speedup_vs_seed, 3),
-                "speedup_vs_legacy": round(speedup_vs_legacy, 3),
                 "stage_split_rdwalk_chain_2": split,
             },
             indent=2,
@@ -174,13 +171,14 @@ def test_constraint_derivation(benchmark):
 
     # Acceptance: >= 2x end-to-end derivation speedup vs the pre-kernel
     # analyzer on this workload.  The recorded seed timings are from the
-    # machine this file was introduced on; on other hardware the kill-switch
-    # path — everything except the kernel itself — is the proxy, with a
-    # floor that the kernel must beat it.
-    assert speedup_vs_seed >= 2.0 or speedup_vs_legacy >= 1.10, (
+    # machine this file was introduced on; on other hardware the oracle
+    # dict loops — everything except the kernel itself — are the proxy,
+    # with a floor that the kernel must beat them.
+    speedup_vs_oracle = oracle_total / kernel_total
+    assert speedup_vs_seed >= 2.0 or speedup_vs_oracle >= 1.10, (
         f"derivation speedup below the floor: {speedup_vs_seed:.2f}x vs seed "
-        f"(seed {seed_total:.3f}s), {speedup_vs_legacy:.2f}x vs kernel-off "
-        f"(legacy {legacy_total:.3f}s, kernel {kernel_total:.3f}s)"
+        f"(seed {seed_total:.3f}s), {speedup_vs_oracle:.2f}x vs the dict-path "
+        f"oracle (oracle {oracle_total:.3f}s, kernel {kernel_total:.3f}s)"
     )
 
 
@@ -189,8 +187,7 @@ def test_certificate_basis_is_memoized():
     from repro.logic.handelman import certificate_cache_stats
 
     _reset_memos()
-    with kernel_override(True):
-        pipe = AnalysisPipeline(rdwalk_chain(2))
-        pipe.constraint_system(AnalysisOptions(moment_degree=MOMENT_DEGREE))
+    pipe = AnalysisPipeline(rdwalk_chain(2))
+    pipe.constraint_system(AnalysisOptions(moment_degree=MOMENT_DEGREE))
     bases = certificate_cache_stats()["bases"]
     assert 0 < bases < 100, f"unexpected basis cache population: {bases}"

@@ -1,6 +1,8 @@
 """LP assembly/solve microbenchmark: dense rebuild vs. incremental backend.
 
-Measures the two things the incremental backend changes:
+Measures the two things the incremental backend (the default wherever
+HiGHS imports) changes against the dense rebuild-per-solve backend, which
+this file builds explicitly or swaps in for the default factory:
 
 1. **Assembly throughput** — rows ingested per second when a synthetic
    certificate-shaped constraint stream is emitted through ``LPProblem``
@@ -20,6 +22,7 @@ on; the ``improvement_vs_seed`` ratio is the acceptance metric (>= 0.20).
 import json
 import pathlib
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -27,8 +30,8 @@ from _harness import emit, timed_median
 from repro import AnalysisOptions, analyze
 from repro.logic.handelman import clear_certificate_caches
 from repro.lp.affine import AffBuilder, AffForm
+from repro.lp import backends
 from repro.lp.problem import LPProblem
-from repro.lp.backends import get_backend
 from repro.poly.kernel import clear_plan_caches
 from repro.programs.synthetic import coupon_chain, rdwalk_chain
 
@@ -52,10 +55,26 @@ WORKLOAD = {
 
 MOMENT_DEGREE = 4
 
+BACKENDS = {
+    "dense": backends.ScipyDenseBackend,
+    "incremental": backends.IncrementalBackend,
+}
+
+
+@contextmanager
+def _default_backend(backend_name: str):
+    """Give every LP problem created inside the named backend."""
+    saved = backends.default_backend
+    backends.default_backend = BACKENDS[backend_name]
+    try:
+        yield
+    finally:
+        backends.default_backend = saved
+
 
 def _assembly_rate(backend_name: str, rows: int = 4000, width: int = 12) -> float:
     """Rows/second for a certificate-shaped emission stream."""
-    lp = LPProblem(backend=get_backend(backend_name))
+    lp = LPProblem(backend=BACKENDS[backend_name]())
     lams = [lp.fresh_nonneg(f"lam{i}") for i in range(width)]
     coeffs = [lp.fresh(f"c{i}") for i in range(width)]
     start = time.perf_counter()
@@ -86,15 +105,15 @@ def _time_workload(backend_name: str) -> dict[str, float]:
             clear_certificate_caches()
             clear_plan_caches()
 
-        median, _ = timed_median(
-            lambda: analyze(
-                program,
-                AnalysisOptions(moment_degree=MOMENT_DEGREE, backend=backend_name),
-            ),
-            rounds=3,
-            warmup=1,
-            setup=reset,
-        )
+        with _default_backend(backend_name):
+            median, _ = timed_median(
+                lambda: analyze(
+                    program, AnalysisOptions(moment_degree=MOMENT_DEGREE)
+                ),
+                rounds=3,
+                warmup=1,
+                setup=reset,
+            )
         times[name] = median
     return times
 
@@ -181,8 +200,8 @@ def test_incremental_appends_stage_cuts():
     from repro.lp.reduce import reduce_override
 
     pipe = AnalysisPipeline(coupon_chain(2))
-    options = AnalysisOptions(moment_degree=4, backend="incremental")
-    with reduce_override(False):
+    options = AnalysisOptions(moment_degree=4)
+    with reduce_override(False), _default_backend("incremental"):
         pipe.analyze(options)
     stats = pipe.constraint_system(options).lp.backend.stats
     assert stats.model_builds == 1

@@ -9,7 +9,7 @@ stage                 artifact (cache key)
 static analysis       ``ProgramInfo``            (per program)
 context analysis      ``ContextMap``             (per program)
 constraint derivation ``ConstraintSystem``       (m, d, upper_only, unit_cost,
-                                                  degree_cap, backend)
+                                                  degree_cap)
 LP solving            ``StageSolution``          (the above + valuations,
                                                   lexicographic, lp_bound)
 resolution            ``MomentBoundResult``      (not cached: cheap)
@@ -66,7 +66,6 @@ from repro.lang.varinfo import ProgramInfo, analyze_program as static_info
 from repro.logic.absint import ContextMap, compute_contexts
 from repro.logic.context import Context
 from repro.lp.affine import AffForm
-from repro.lp.backends import get_backend
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.problem import LPProblem
 
@@ -82,9 +81,7 @@ class AnalysisOptions:
     ``template_degree`` is ``d`` (the k-th moment component uses polynomials
     of degree ``k*d``).  ``objective_valuations`` are the concrete points at
     which imprecision is minimized; when omitted, a feasible point of main's
-    pre-condition is computed automatically.  ``backend`` picks the LP
-    backend by registry name (``None`` = the default incremental backend;
-    see :mod:`repro.lp.backends`).  ``lp_reduce`` selects the
+    pre-condition is computed automatically.  ``lp_reduce`` selects the
     structure-exploiting LP reduction layer (:mod:`repro.lp.reduce`):
     ``None`` follows the process-wide switch (on unless
     ``REPRO_DISABLE_LP_REDUCE`` is set), ``False``/``True`` force it off/on
@@ -92,7 +89,7 @@ class AnalysisOptions:
 
     ``deadline_seconds`` bounds the analysis wall-clock: a monotonic
     :class:`~repro.deadline.Deadline` token is armed for the run and
-    checked at every stage boundary, inside both LP backends, the reduce
+    checked at every stage boundary, inside the LP backends, the reduce
     block loop, and vectorized MC supersteps; expiry raises
     :class:`~repro.deadline.AnalysisTimeout`.
     ``degrade`` opts into the graceful-degradation ladder: on timeout (or
@@ -113,7 +110,6 @@ class AnalysisOptions:
     lexicographic: bool = True
     lp_bound: float = 1e12
     degree_cap: int | None = None
-    backend: str | None = None
     lp_reduce: bool | None = None
     deadline_seconds: float | None = None
     degrade: bool = False
@@ -134,7 +130,6 @@ class AnalysisOptions:
             self.upper_only,
             self.unit_cost,
             self.degree_cap,
-            self.backend,
         )
 
     def solve_key(self, valuations: list[dict[str, float]]) -> tuple:
@@ -329,7 +324,7 @@ class AnalysisPipeline:
         start = time.perf_counter()
         info = self.static_info()
         cmap = self.context_map()
-        lp = LPProblem(backend=get_backend(options.backend))
+        lp = LPProblem()
         called = sorted(
             set().union(*(info.call_graph[f] for f in info.reachable))
             & info.reachable

@@ -75,7 +75,6 @@ from repro import (
     parse_program,
 )
 from repro.deadline import AnalysisTimeout
-from repro.lp.backends import available_backends
 
 
 def _parse_valuation(text: str) -> dict[str, float]:
@@ -92,11 +91,7 @@ def _parse_valuation(text: str) -> dict[str, float]:
     return valuation
 
 
-def _add_backend_flag(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--backend", choices=available_backends(), default=None,
-        help="LP backend (default: incremental warm-started HiGHS)",
-    )
+def _add_lp_reduce_flag(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument(
         "--no-lp-reduce", action="store_true",
         help="solve the raw LP directly, bypassing the presolve/"
@@ -174,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cumulative hotspots per stage (default N=10) plus the "
         "derivation-vs-solve wall-time split",
     )
-    _add_backend_flag(analyze_cmd)
+    _add_lp_reduce_flag(analyze_cmd)
     _add_cache_flag(analyze_cmd)
 
     batch_cmd = sub.add_parser(
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress per-program success rows; failures are still "
         "printed per program and the exit code is still non-zero",
     )
-    _add_backend_flag(batch_cmd)
+    _add_lp_reduce_flag(batch_cmd)
     _add_cache_flag(batch_cmd)
 
     check_cmd = sub.add_parser(
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("thread", "process"), default="thread",
         help="fan the analysis phase out over threads or processes",
     )
-    _add_backend_flag(fuzz_cmd)
+    _add_lp_reduce_flag(fuzz_cmd)
     _add_cache_flag(fuzz_cmd)
 
     fuzz_sub = fuzz_cmd.add_subparsers(dest="fuzz_command", metavar="")
@@ -549,7 +544,6 @@ def _run_analyze(args, out) -> int:
         template_degree=args.degree,
         degree_cap=args.degree_cap,
         objective_valuations=valuations,
-        backend=args.backend,
         lp_reduce=False if args.no_lp_reduce else None,
         deadline_seconds=args.deadline,
         degrade=args.degrade,
@@ -696,7 +690,6 @@ def _run_batch(args, out) -> int:
             template_degree=bench.template_degree,
             degree_cap=bench.degree_cap,
             objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-            backend=args.backend,
             lp_reduce=False if args.no_lp_reduce else None,
         )
         workload[name] = (registry.parsed(name), options)
@@ -988,7 +981,6 @@ def _run_fuzz(args, out) -> int:
             config,
             jobs=args.jobs,
             executor=args.executor,
-            backend=args.backend,
             cache=cache,
             out_dir=args.out,
             lp_reduce=False if args.no_lp_reduce else None,

@@ -47,21 +47,24 @@ _MAX_GLOBAL_ITERS = 3
 class ContextMap:
     """Per-node logical contexts plus per-function summaries."""
 
-    pre: dict[int, Context] = field(default_factory=dict)
-    post: dict[int, Context] = field(default_factory=dict)
-    loop_head: dict[int, Context] = field(default_factory=dict)
+    #: Keyed by the AST node objects (which hash by identity), not by
+    #: ``id()``: a pickled ContextMap must stay attached to the AST it is
+    #: pickled with (the artifact cache's ``base`` bundle).
+    pre: dict[Stmt, Context] = field(default_factory=dict)
+    post: dict[Stmt, Context] = field(default_factory=dict)
+    loop_head: dict[While, Context] = field(default_factory=dict)
     fun_pre: dict[str, Context] = field(default_factory=dict)
     fun_exit: dict[str, Context] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     def pre_of(self, node: Stmt) -> Context:
-        return self.pre.get(id(node), Context.top())
+        return self.pre.get(node, Context.top())
 
     def post_of(self, node: Stmt) -> Context:
-        return self.post.get(id(node), Context.top())
+        return self.post.get(node, Context.top())
 
     def head_of(self, node: While) -> Context:
-        return self.loop_head.get(id(node), Context.top())
+        return self.loop_head.get(node, Context.top())
 
 
 class _Analyzer:
@@ -100,10 +103,10 @@ class _Analyzer:
 
     def transfer(self, stmt: Stmt, ctx: Context) -> Context:
         if self._record:
-            self.cmap.pre[id(stmt)] = ctx
+            self.cmap.pre[stmt] = ctx
         out = self._transfer(stmt, ctx)
         if self._record:
-            self.cmap.post[id(stmt)] = out
+            self.cmap.post[stmt] = out
         return out
 
     def _transfer(self, stmt: Stmt, ctx: Context) -> Context:
@@ -172,7 +175,7 @@ class _Analyzer:
 
         head = Context(tuple(candidates), False, ctx.integer_vars)
         if self._record:
-            self.cmap.loop_head[id(stmt)] = head
+            self.cmap.loop_head[stmt] = head
             self.transfer(stmt.body, head.assume(stmt.cond))
         return head.assume(stmt.cond.negate())
 

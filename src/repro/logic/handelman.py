@@ -23,11 +23,11 @@ basis monomial's λ-column into its :class:`~repro.lp.affine.AffBuilder` as
 one C-level ``dict.update`` over precomputed id/coefficient arrays, instead
 of a per-product per-monomial Python loop.
 
-The vectorized path replays the legacy loop *exactly* — same λ variable
-names and allocation order, same float coefficients (the basis is built from
-the same :func:`certificate_products` computation), same per-builder term
-insertion order, same LP row order — so analyzer outputs are byte-identical
-with the kernel on or off (``REPRO_DISABLE_POLY_KERNEL``).
+The column layout replays that loop *exactly* — same λ variable names and
+allocation order, same float coefficients (the basis is built from the same
+:func:`certificate_products` computation), same per-builder term insertion
+order, same LP row order — so the emitted LP is byte-identical to the
+textbook loop kept as the parity oracle in ``tests/dict_path_oracle.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from repro.logic.context import Context
 from repro.lp.affine import AffBuilder, AffForm
 from repro.lp.problem import LPProblem
-from repro.poly.kernel import kernel_enabled
 from repro.poly.monomial import Monomial
 from repro.poly.polynomial import Polynomial
 
@@ -61,7 +60,7 @@ class CertificateBasis:
     """One context's certificate products in column-compressed array form.
 
     ``columns`` holds, per basis monomial (in the exact first-encounter
-    order of the legacy emission loop), the λ row indices that mention it
+    order of a per-product emission loop), the λ row indices that mention it
     and the *negated* float coefficients ready for ingestion: row ``j`` of
     column ``m`` says product ``j`` contributes ``-coeff`` to the
     coefficient-matching equality of monomial ``m``.
@@ -148,31 +147,16 @@ def certificate_cache_stats() -> dict[str, int]:
     return {"bases": len(_BASIS_CACHE)}
 
 
-def emit_nonneg_certificate(
-    lp: LPProblem,
-    ctx: Context,
-    poly: Polynomial,
-    degree: int,
-    label: str = "cert",
-    minus: Polynomial | None = None,
-) -> None:
-    """Constrain ``poly - minus >= 0`` to hold under ``ctx`` (sufficient).
+def _certificate_target(
+    ctx: Context, poly: Polynomial, minus: Polynomial | None
+) -> dict[Monomial, AffBuilder] | None:
+    """Per-monomial builders of ``poly - minus``; ``None`` when vacuous.
 
-    Emits ``poly - minus == Σ_j λ_j prod_j`` with fresh ``λ_j >= 0`` into
-    ``lp``.  A bottom context makes the requirement vacuous, as does a target
-    that cancels to zero (``minus`` lets callers certify a difference without
-    materializing it as a polynomial first).
-
-    All coefficient matching goes through :class:`AffBuilder` accumulators —
-    one per monomial — instead of repeated immutable polynomial sums; with
-    hundreds of certificate products per containment this is the difference
-    between linear and quadratic assembly cost.  With the symbolic kernel
-    enabled the λ-multiplier columns come from the memoized
-    :class:`CertificateBasis` and land in the builders via bulk
-    ``dict.update`` calls over precomputed arrays.
+    The requirement is vacuous under a bottom context and for a target that
+    cancels to zero; an all-constant target is checked on the spot.
     """
     if ctx.bottom:
-        return
+        return None
     # A polynomial mentions each monomial once, so the first pass can seed
     # the builders with C-level dict copies instead of per-term merges.
     target: dict[Monomial, AffBuilder] = {}
@@ -195,45 +179,59 @@ def emit_nonneg_certificate(
     if any(b.is_zero() for b in target.values()):
         target = {m: b for m, b in target.items() if not b.is_zero()}
     if not target:
-        return
+        return None
     if all(m.is_unit() and b.is_constant() for m, b in target.items()):
         const = sum(b.const for b in target.values())
         if const < -1e-9:
             raise ValueError(f"constant certificate target {const!r} is negative")
+        return None
+    return target
+
+
+def emit_nonneg_certificate(
+    lp: LPProblem,
+    ctx: Context,
+    poly: Polynomial,
+    degree: int,
+    label: str = "cert",
+    minus: Polynomial | None = None,
+) -> None:
+    """Constrain ``poly - minus >= 0`` to hold under ``ctx`` (sufficient).
+
+    Emits ``poly - minus == Σ_j λ_j prod_j`` with fresh ``λ_j >= 0`` into
+    ``lp``.  A bottom context makes the requirement vacuous, as does a target
+    that cancels to zero (``minus`` lets callers certify a difference without
+    materializing it as a polynomial first).
+
+    All coefficient matching goes through :class:`AffBuilder` accumulators —
+    one per monomial — instead of repeated immutable polynomial sums; with
+    hundreds of certificate products per containment this is the difference
+    between linear and quadratic assembly cost.  The λ-multiplier columns
+    come from the memoized :class:`CertificateBasis` and land in the
+    builders via bulk ``dict.update`` calls over precomputed arrays.
+    """
+    target = _certificate_target(ctx, poly, minus)
+    if target is None:
         return
     cert_degree = max(degree, max(m.degree for m in target))
-
-    if kernel_enabled():
-        basis = certificate_basis(ctx, cert_degree)
-        # λ variables are allocated with the same names, in the same order,
-        # as the legacy loop below — indices are contiguous from lam_base.
-        lam_base = lp.fresh_nonneg(f"{label}.λ0").index
-        for j in range(1, basis.n_products):
-            lp.fresh_nonneg(f"{label}.λ{j}")
-        # Emission hint for the LP reduction layer: this certificate's
-        # multipliers occupy one contiguous column span, so presolve can
-        # build its λ/nonnegativity masks from span arithmetic instead of
-        # scanning the index set.
-        lp.note_cert_span(lam_base, basis.n_products)
-        for mono, rows, negs in basis.columns:
-            builder = target.get(mono)
-            if builder is None:
-                target[mono] = builder = AffBuilder()
-            # Fresh λ indices cannot collide with existing template terms,
-            # so a bulk update preserves add_var semantics; ascending-j
-            # order matches the legacy per-product scan.
-            builder.terms.update(zip((rows + lam_base).tolist(), negs))
-    else:
-        products = certificate_products(ctx, cert_degree)
-        lam_base = None
-        for j, prod in enumerate(products):
-            lam = lp.fresh_nonneg(f"{label}.λ{j}")
-            if lam_base is None:
-                lam_base = lam.index
-            for mono, c in prod.coeffs.items():
-                target.setdefault(mono, AffBuilder()).add_var(lam, -float(c))
-        if lam_base is not None:
-            lp.note_cert_span(lam_base, len(products))
-
+    basis = certificate_basis(ctx, cert_degree)
+    # λ variables get consecutive names λ0, λ1, ... — indices are contiguous
+    # from lam_base.
+    lam_base = lp.fresh_nonneg(f"{label}.λ0").index
+    for j in range(1, basis.n_products):
+        lp.fresh_nonneg(f"{label}.λ{j}")
+    # Emission hint for the LP reduction layer: this certificate's
+    # multipliers occupy one contiguous column span, so presolve can
+    # build its λ/nonnegativity masks from span arithmetic instead of
+    # scanning the index set.
+    lp.note_cert_span(lam_base, basis.n_products)
+    for mono, rows, negs in basis.columns:
+        builder = target.get(mono)
+        if builder is None:
+            target[mono] = builder = AffBuilder()
+        # Fresh λ indices cannot collide with existing template terms, so a
+        # bulk update preserves add_var semantics; ascending-j order matches
+        # a per-product scan.
+        builder.terms.update(zip((rows + lam_base).tolist(), negs))
     for mono, builder in target.items():
         lp.add_eq(builder, note=f"{label}[{mono!r}]")

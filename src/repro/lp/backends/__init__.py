@@ -1,49 +1,37 @@
-"""Pluggable LP backends.
+"""LP backends: row storage plus the solver of one LP problem.
 
-``get_backend(name)`` instantiates a registered backend:
+:func:`default_backend` is the one factory behind every new
+:class:`~repro.lp.problem.LPProblem`:
 
-* ``"incremental"`` (default) — COO triplet assembly into a persistent
+* :class:`IncrementalBackend` — COO triplet assembly into a persistent
   warm-started HiGHS model; lexicographic stage cuts are *appended*, not
   rebuilt (:mod:`repro.lp.backends.incremental`).
-* ``"dense"`` — the legacy path: affine-form rows, full matrix rebuild and a
-  cold ``scipy.optimize.linprog`` call per solve
+* :class:`ScipyDenseBackend` — only where no HiGHS binding imports (the
+  platform picks it, not the user); it is also the incremental backend's
+  last-resort solve and the test suite's parity oracle
   (:mod:`repro.lp.backends.scipy_dense`).
-
-If the running scipy does not bundle the HiGHS python bindings the
-``incremental`` name resolves to the dense implementation, so the default
-always works.
 """
 
 from __future__ import annotations
 
-from repro.lp.backends.base import (
-    DEFAULT_BACKEND,
-    BackendStats,
-    Checkpoint,
-    LPBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.lp.backends.base import BackendStats, Checkpoint, LPBackend
 from repro.lp.backends.incremental import IncrementalBackend, highs_available
 from repro.lp.backends.scipy_dense import ScipyDenseBackend
 
-register_backend("dense", ScipyDenseBackend)
-register_backend("scipy-dense", ScipyDenseBackend)  # explicit alias
-if highs_available():
-    register_backend("incremental", IncrementalBackend)
-else:  # pragma: no cover - scipy without bundled highspy
-    register_backend("incremental", ScipyDenseBackend)
+
+def default_backend() -> LPBackend:
+    """A fresh backend for a new LP problem."""
+    if highs_available():
+        return IncrementalBackend()
+    return ScipyDenseBackend()  # pragma: no cover - scipy without HiGHS bindings
+
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "BackendStats",
     "Checkpoint",
     "IncrementalBackend",
     "LPBackend",
     "ScipyDenseBackend",
-    "available_backends",
-    "get_backend",
+    "default_backend",
     "highs_available",
-    "register_backend",
 ]

@@ -17,14 +17,14 @@ second moment, ...):
    instead of cold-starting the whole LP.
 
 The bindings used are the ``highspy`` ones scipy bundles for its own
-``linprog`` wrapper (``scipy.optimize._highspy``); if a scipy build does not
-ship them the backend registry falls back to :class:`ScipyDenseBackend`
-(see :mod:`repro.lp.backends`).
+``linprog`` wrapper (``scipy.optimize._highspy``), or the standalone
+``highspy`` wheel when installed; where neither imports,
+:func:`repro.lp.backends.default_backend` hands out
+:class:`ScipyDenseBackend` instead.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import TYPE_CHECKING
 
@@ -37,24 +37,18 @@ from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lp.problem import LPProblem
 
-if os.environ.get("REPRO_DISABLE_HIGHS"):
-    # CI lever: force the scipy fallback path even when a HiGHS binding is
-    # importable, so the dense leg of the matrix tests what it claims to.
-    _hs = None
-    _HIGHS_AVAILABLE = False
-else:
-    try:  # standalone highspy, if the environment has it
-        import highspy as _hs  # type: ignore
+try:  # standalone highspy, if the environment has it
+    import highspy as _hs  # type: ignore
+
+    _HIGHS_AVAILABLE = True
+except ImportError:  # the copy scipy bundles (scipy >= 1.15)
+    try:
+        from scipy.optimize._highspy import _core as _hs  # type: ignore
 
         _HIGHS_AVAILABLE = True
-    except ImportError:  # the copy scipy bundles (scipy >= 1.15)
-        try:
-            from scipy.optimize._highspy import _core as _hs  # type: ignore
-
-            _HIGHS_AVAILABLE = True
-        except ImportError:  # pragma: no cover - environment without either
-            _hs = None
-            _HIGHS_AVAILABLE = False
+    except ImportError:  # pragma: no cover - environment without either
+        _hs = None
+        _HIGHS_AVAILABLE = False
 
 
 def highs_available() -> bool:
@@ -117,8 +111,6 @@ class _RowBuffer:
 
 class IncrementalBackend(LPBackend):
     """Triplet-buffer assembly with warm-started incremental HiGHS solves."""
-
-    name = "incremental"
 
     def __init__(self) -> None:
         super().__init__()
@@ -294,7 +286,7 @@ class IncrementalBackend(LPBackend):
         bound: float,
         regularization: float,
     ) -> LPSolution:
-        if not _HIGHS_AVAILABLE:  # pragma: no cover - guarded at registry
+        if not _HIGHS_AVAILABLE:  # pragma: no cover - default_backend() picks dense
             return self._fallback_dense(
                 problem, objective, objective_const, minimize, bound, regularization
             )

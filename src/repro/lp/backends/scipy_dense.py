@@ -1,9 +1,15 @@
-"""The legacy solving path: rebuild CSR matrices and cold-start HiGHS.
+"""The rebuild-per-solve path: CSR matrices and a cold ``linprog`` call.
 
-Kept as the reference backend: it goes through ``scipy.optimize.linprog``,
-reassembling the full constraint matrices from the stored rows on every
-``solve`` call.  Simple, battle-tested, and the parity baseline for the
-incremental backend.
+It stores affine-form rows and goes through ``scipy.optimize.linprog``,
+reassembling the full constraint matrices on every ``solve`` call.  It
+stays for three jobs, none of them chosen by the user:
+
+* the last rung of :class:`~repro.lp.backends.incremental.IncrementalBackend`'s
+  robustness cascade (``_fallback_dense``);
+* the backend of every problem on a platform where no HiGHS binding imports
+  (:func:`repro.lp.backends.default_backend`);
+* the parity oracle of ``tests/test_backends.py``, which injects it in place
+  of the default to check the incremental backend's bounds.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ScipyDenseBackend(LPBackend):
     """Affine-form row lists, full matrix rebuild per solve."""
-
-    name = "dense"
 
     def __init__(self) -> None:
         super().__init__()

@@ -9,9 +9,9 @@ constraints").
 :class:`LPProblem` is a thin façade: it owns the variable pool, performs the
 constant-row feasibility checks at emission time, and keeps the ``note``
 annotations used for infeasibility diagnostics.  Row storage and solving are
-delegated to a pluggable backend (:mod:`repro.lp.backends`) — by default the
-incremental warm-started HiGHS backend; ``backend="dense"`` selects the
-legacy rebuild-per-solve scipy path.
+delegated to the backend :func:`repro.lp.backends.default_backend` returns:
+the incremental warm-started HiGHS backend, or the rebuild-per-solve scipy
+path where no HiGHS binding imports.
 
 Solves normally route through the structure-exploiting reduction layer
 (:mod:`repro.lp.reduce`): a vectorized presolve over the backend's row
@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lp.affine import AffBuilder, AffForm, LinVar, VarPool
-from repro.lp.backends import Checkpoint, LPBackend, get_backend
+from repro.lp import backends
+from repro.lp.backends import Checkpoint, LPBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.reduce import ReducedSolver, reduce_enabled
@@ -47,7 +48,8 @@ _DIAGNOSTIC_NOTES = 6
 @dataclass
 class LPProblem:
     pool: VarPool = field(default_factory=VarPool)
-    backend: LPBackend = field(default_factory=get_backend)
+    #: Looked up at construction time, so a test can swap the factory.
+    backend: LPBackend = field(default_factory=lambda: backends.default_backend())
     _nonneg: set[int] = field(default_factory=set)
     _eq_notes: dict[int, str] = field(default_factory=dict)
     _ge_notes: dict[int, str] = field(default_factory=dict)

@@ -48,7 +48,10 @@ from repro.lang.printer import canonical_program
 #: small same-shape blocks, which moves solution vertices on degenerate
 #: optimal faces (bounds agree to solver tolerance, bytes differ); results
 #: also carry ``restart_bound`` / parallel-solve stats.
-CACHE_FORMAT = 3
+#: 4: ``ContextMap`` keys its per-node contexts by AST node instead of
+#: ``id(node)``, so a ``base`` bundle read back from disk keeps its
+#: contexts (format-3 bundles lost them: every node read as top).
+CACHE_FORMAT = 4
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 

@@ -65,7 +65,6 @@ _OPTION_KEYS = {
     "degree",
     "degree_cap",
     "at",
-    "backend",
     "upper_only",
     "unit_cost",
     "lexicographic",
@@ -88,6 +87,30 @@ class RequestError(ValueError):
     Deterministic — retrying cannot help, so jobs failing with this go
     straight to the dead-letter state (``retryable=False``).
     """
+
+
+def _flag(data: dict, key: str, default: "bool | None") -> "bool | None":
+    """A JSON boolean option; ``"false"``, ``0`` and other stand-ins are
+    errors, not coerced.  ``null`` is accepted only where the default is."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, bool):
+        raise RequestError(f"options.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(data: dict, key: str, default: "int | None") -> "int | None":
+    """A JSON integer option; booleans and fractional numbers are errors,
+    not truncated.  ``null`` is accepted only where the default is."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise RequestError(f"options.{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def options_from_dict(data: "dict | None") -> AnalysisOptions:
@@ -122,30 +145,24 @@ def options_from_dict(data: "dict | None") -> AnalysisOptions:
             at = tuple(
                 {str(k): float(v) for k, v in one.items()} for one in at
             )
-        lp_reduce = data.get("lp_reduce")
-        if lp_reduce is not None:
-            lp_reduce = bool(lp_reduce)
         deadline = data.get("deadline")
         if deadline is not None:
             deadline = float(deadline)
             if deadline <= 0:
                 raise RequestError("options.deadline must be positive seconds")
         return AnalysisOptions(
-            moment_degree=int(data.get("moments", 2)),
-            template_degree=int(data.get("degree", 1)),
-            degree_cap=(
-                int(data["degree_cap"]) if data.get("degree_cap") is not None else None
-            ),
+            moment_degree=_integer(data, "moments", 2),
+            template_degree=_integer(data, "degree", 1),
+            degree_cap=_integer(data, "degree_cap", None),
             objective_valuations=at or None,
-            upper_only=bool(data.get("upper_only", False)),
-            unit_cost=bool(data.get("unit_cost", False)),
-            check_soundness=bool(data.get("check", False)),
-            lexicographic=bool(data.get("lexicographic", True)),
+            upper_only=_flag(data, "upper_only", False),
+            unit_cost=_flag(data, "unit_cost", False),
+            check_soundness=_flag(data, "check", False),
+            lexicographic=_flag(data, "lexicographic", True),
             lp_bound=float(data.get("lp_bound", 1e12)),
-            backend=data.get("backend"),
-            lp_reduce=lp_reduce,
+            lp_reduce=_flag(data, "lp_reduce", None),
             deadline_seconds=deadline,
-            degrade=bool(data.get("degrade", False)),
+            degrade=_flag(data, "degrade", False),
         )
     except RequestError:
         raise
@@ -177,8 +194,6 @@ def options_to_dict(options: AnalysisOptions) -> dict:
         out["lexicographic"] = False
     if options.lp_bound != 1e12:
         out["lp_bound"] = options.lp_bound
-    if options.backend is not None:
-        out["backend"] = options.backend
     if options.lp_reduce is not None:
         out["lp_reduce"] = options.lp_reduce
     if options.deadline_seconds is not None:

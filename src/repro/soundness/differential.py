@@ -280,7 +280,6 @@ def compare_bounds(
 def check_case(
     case: FuzzCase,
     config: DifferentialConfig | None = None,
-    backend: str | None = None,
     lp_reduce: "bool | None" = None,
 ) -> CaseOutcome:
     """Run the full differential check on a single case, in-process."""
@@ -291,7 +290,7 @@ def check_case(
     started = time.perf_counter()
     try:
         result = AnalysisPipeline(program).analyze(
-            _case_options(case, backend, lp_reduce, config)
+            _case_options(case, lp_reduce, config)
         )
     except AnalysisTimeout as exc:
         return CaseOutcome(
@@ -313,14 +312,12 @@ def check_case(
 
 def _case_options(
     case: FuzzCase,
-    backend: str | None = None,
     lp_reduce: "bool | None" = None,
     config: "DifferentialConfig | None" = None,
 ) -> AnalysisOptions:
     return AnalysisOptions(
         moment_degree=case.moment_degree,
         objective_valuations=(case.valuation,),
-        backend=backend,
         lp_reduce=lp_reduce,
         deadline_seconds=config.deadline_seconds if config is not None else None,
     )
@@ -500,7 +497,6 @@ def canonical_program_body_same(a: Stmt, b: Stmt) -> bool:
 def minimize_case(
     case: FuzzCase,
     config: DifferentialConfig,
-    backend: str | None = None,
     lp_reduce: "bool | None" = None,
 ) -> tuple[FuzzCase, int]:
     """Greedily shrink a violating case while the violation reproduces.
@@ -508,8 +504,7 @@ def minimize_case(
     Returns the smallest reproducing case and the number of candidate
     evaluations spent.  Each accepted reduction restarts the scan, so the
     result is 1-minimal w.r.t. the reduction operators within budget.
-    ``backend`` must be the backend the violation was detected with —
-    backend-specific bugs (warm-start drift) do not reproduce elsewhere.
+    ``lp_reduce`` must be the setting the violation was detected with.
     Candidate re-analyses inherit ``config.deadline_seconds``, and
     ``config.minimize_seconds`` caps the whole scan, so minimization is
     bounded even on pathological programs.
@@ -537,7 +532,6 @@ def minimize_case(
                 outcome = check_case(
                     candidate,
                     replace(config, minimize=False),
-                    backend,
                     lp_reduce,
                 )
             except Exception:
@@ -613,7 +607,6 @@ def run_differential(
     config: DifferentialConfig | None = None,
     jobs: int | None = None,
     executor: str = "thread",
-    backend: str | None = None,
     cache: ArtifactCache | None = None,
     out_dir: str | None = None,
     lp_reduce: "bool | None" = None,
@@ -630,7 +623,7 @@ def run_differential(
     workload = {
         case.name: (
             case.parse(),
-            _case_options(case, backend, lp_reduce, config),
+            _case_options(case, lp_reduce, config),
         )
         for case in cases
     }
@@ -659,7 +652,7 @@ def run_differential(
         )
         if outcome.status == VIOLATION:
             if config.minimize:
-                minimized, _ = minimize_case(case, config, backend, lp_reduce)
+                minimized, _ = minimize_case(case, config, lp_reduce)
                 outcome.minimized = minimized.source
             if out_dir is not None:
                 _dump_violation(outcome, out_dir, config)

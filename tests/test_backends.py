@@ -1,23 +1,27 @@
 """Backend parity and incremental-assembly regression tests.
 
-The two LP backends must be observably interchangeable: identical optimal
-objective values on every registry program (the solutions themselves may
-differ on degenerate optimal faces — that is allowed).  The incremental
-backend must additionally *append* lexicographic stage cuts to its
-persistent model instead of rebuilding it per stage.
+The analyzer solves through :func:`repro.lp.backends.default_backend` (the
+incremental backend wherever HiGHS imports).  The dense scipy backend is
+its oracle: the tests inject it in place of the default and require
+identical optimal objective values on every registry program (the
+solutions themselves may differ on degenerate optimal faces — that is
+allowed).  The incremental backend must additionally *append*
+lexicographic stage cuts to its persistent model instead of rebuilding it
+per stage.
 """
 
 import math
+from contextlib import contextmanager
 
 import pytest
 
 from repro import AnalysisOptions, AnalysisPipeline, analyze
 from repro.lp.affine import AffBuilder, AffForm
+from repro.lp import backends
 from repro.lp.backends import (
     IncrementalBackend,
     ScipyDenseBackend,
-    available_backends,
-    get_backend,
+    default_backend,
     highs_available,
 )
 from repro.lp.problem import LPInfeasibleError, LPProblem
@@ -25,19 +29,35 @@ from repro.lp.reduce import reduce_override
 from repro.programs import registry
 
 
+#: Backends by the names the parametrized tests use.
+BACKENDS = {"dense": ScipyDenseBackend, "incremental": IncrementalBackend}
+
+
 def registry_names():
     return sorted(registry.all_benchmarks())
 
 
-def bench_options(name: str, backend: str) -> AnalysisOptions:
+def bench_options(name: str) -> AnalysisOptions:
     bench = registry.get(name)
     return AnalysisOptions(
         moment_degree=2,
         template_degree=bench.template_degree,
         degree_cap=bench.degree_cap,
         objective_valuations=(bench.valuation,) + tuple(bench.extra_valuations),
-        backend=backend,
     )
+
+
+@contextmanager
+def dense_default():
+    """Every LP problem created inside gets the dense oracle backend."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "default_backend", ScipyDenseBackend)
+        yield
+
+
+def analyze_dense(program, options):
+    with dense_default():
+        return analyze(program, options)
 
 
 class TestRegistryParity:
@@ -56,8 +76,8 @@ class TestRegistryParity:
         its optimum is only an upper estimate, and the incremental backend
         is allowed to do strictly better, never worse.
         """
-        dense = analyze(registry.parsed(name), bench_options(name, "dense"))
-        incr = analyze(registry.parsed(name), bench_options(name, "incremental"))
+        dense = analyze_dense(registry.parsed(name), bench_options(name))
+        incr = analyze(registry.parsed(name), bench_options(name))
         assert len(dense.objective_values) == len(incr.objective_values)
         for stage, (a, b) in enumerate(
             zip(dense.objective_values, incr.objective_values)
@@ -82,8 +102,8 @@ class TestRegistryParity:
 
     @pytest.mark.parametrize("name", ["rdwalk", "geo", "kura-1-1"])
     def test_first_moment_bounds_match(self, name):
-        dense = analyze(registry.parsed(name), bench_options(name, "dense"))
-        incr = analyze(registry.parsed(name), bench_options(name, "incremental"))
+        dense = analyze_dense(registry.parsed(name), bench_options(name))
+        incr = analyze(registry.parsed(name), bench_options(name))
         d, i = dense.raw_interval(1), incr.raw_interval(1)
         assert d.hi == pytest.approx(i.hi, rel=1e-6, abs=1e-6)
         assert d.lo == pytest.approx(i.lo, rel=1e-6, abs=1e-6)
@@ -104,13 +124,14 @@ class TestFuzzCorpusParity:
 
         return generate_corpus(len(self.CORPUS_SEEDS), seed=0)
 
-    def _analyze(self, case, backend, reduce=None):
+    def _analyze(self, case, reduce=None, dense=False):
         options = AnalysisOptions(
             moment_degree=case.moment_degree,
             objective_valuations=(case.valuation,),
-            backend=backend,
             lp_reduce=reduce,
         )
+        if dense:
+            return analyze_dense(case.parse(), options)
         return analyze(case.parse(), options)
 
     @pytest.mark.parametrize("reduce", [False, True])
@@ -121,10 +142,10 @@ class TestFuzzCorpusParity:
         checked = 0
         for case in corpus:
             try:
-                dense = self._analyze(case, "dense", reduce=reduce)
+                dense = self._analyze(case, reduce=reduce, dense=True)
             except Exception:
                 continue  # infeasible for the analyzer: parity is vacuous
-            incr = self._analyze(case, "incremental", reduce=reduce)
+            incr = self._analyze(case, reduce=reduce)
             for k in range(1, case.moment_degree + 1):
                 d = dense.raw_interval(k, case.valuation)
                 i = incr.raw_interval(k, case.valuation)
@@ -144,10 +165,10 @@ class TestFuzzCorpusParity:
         checked = 0
         for case in corpus:
             try:
-                off = self._analyze(case, None, reduce=False)
+                off = self._analyze(case, reduce=False)
             except Exception:
                 continue
-            on = self._analyze(case, None, reduce=True)
+            on = self._analyze(case, reduce=True)
             for k in range(1, case.moment_degree + 1):
                 a = off.raw_interval(k, case.valuation)
                 b = on.raw_interval(k, case.valuation)
@@ -164,10 +185,10 @@ class TestFuzzCorpusParity:
     def test_fuzz_bounds_stable_under_repeated_incremental_use(self, corpus):
         """Re-analyzing the same program through a *fresh* incremental
         backend must reproduce the first run bit-for-bit (no hidden state
-        leaks through the module-level backend registry)."""
+        leaks through module-level backend state)."""
         case = corpus[0]
-        first = self._analyze(case, "incremental")
-        second = self._analyze(case, "incremental")
+        first = self._analyze(case)
+        second = self._analyze(case)
         for k in range(1, case.moment_degree + 1):
             a = first.raw_interval(k, case.valuation)
             b = second.raw_interval(k, case.valuation)
@@ -187,7 +208,7 @@ class TestIncrementalAssembly:
         reduction layer is forced off — it routes the solves to per-block
         backend instances; the reduced counterpart is tested below.)"""
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="incremental")
+        options = AnalysisOptions(moment_degree=3)
         with reduce_override(False):
             pipe.analyze(options)
         stats = pipe.constraint_system(options).lp.backend.stats
@@ -202,7 +223,7 @@ class TestIncrementalAssembly:
         the live per-block models via addRows — no block is ever merged or
         rebuilt by the stage loop."""
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="incremental")
+        options = AnalysisOptions(moment_degree=3)
         with reduce_override(True):
             pipe.analyze(options)
         reducer = pipe.constraint_system(options).lp._reducer
@@ -214,10 +235,12 @@ class TestIncrementalAssembly:
 
     def test_dense_backend_rebuilds_per_stage(self):
         pipe = AnalysisPipeline(registry.parsed("rdwalk"))
-        options = AnalysisOptions(moment_degree=3, backend="dense")
-        with reduce_override(False):
+        options = AnalysisOptions(moment_degree=3)
+        with reduce_override(False), dense_default():
             pipe.analyze(options)
-        stats = pipe.constraint_system(options).lp.backend.stats
+        backend = pipe.constraint_system(options).lp.backend
+        assert isinstance(backend, ScipyDenseBackend)
+        stats = backend.stats
         assert stats.model_builds == stats.solves == 3
 
     @pytest.mark.parametrize("backend", ["dense", "incremental"])
@@ -225,7 +248,7 @@ class TestIncrementalAssembly:
         """Rows appended after the reduction snapshot (the lexicographic
         cuts) are projected onto the live blocks; rolling them back must
         restore the pristine partition and reproduce the original optimum."""
-        lp = LPProblem(backend=get_backend(backend))
+        lp = LPProblem(backend=BACKENDS[backend]())
         x, y = lp.fresh("x"), lp.fresh("y")
         lam = lp.fresh_nonneg("lam")
         lp.add_ge(AffForm.of_var(x) - 3.0)
@@ -315,18 +338,12 @@ class TestIncrementalAssembly:
 
 class TestBackendRegistry:
     def test_default_is_incremental_when_highs_present(self):
-        backend = get_backend()
+        backend = default_backend()
         if highs_available():
             assert isinstance(backend, IncrementalBackend)
         else:  # pragma: no cover - scipy without bundled highspy
             assert isinstance(backend, ScipyDenseBackend)
-
-    def test_aliases_and_unknown_names(self):
-        assert isinstance(get_backend("dense"), ScipyDenseBackend)
-        assert isinstance(get_backend("scipy-dense"), ScipyDenseBackend)
-        assert "incremental" in available_backends()
-        with pytest.raises(ValueError, match="unknown LP backend"):
-            get_backend("simplex-by-hand")
+        assert type(LPProblem().backend) is type(backend)
 
 
 class TestInfeasibilityDiagnostics:
@@ -337,7 +354,7 @@ class TestInfeasibilityDiagnostics:
 
     @pytest.mark.parametrize("backend", ["dense", "incremental"])
     def test_solver_infeasibility_reports_noted_groups(self, backend):
-        lp = LPProblem(backend=get_backend(backend))
+        lp = LPProblem(backend=BACKENDS[backend]())
         x = lp.fresh("x")
         lp.add_ge(AffForm.of_var(x) - 3.0, note="lower.bound[x]")
         lp.add_le(AffForm.of_var(x) - 2.0, note="upper.bound[x]")
@@ -367,7 +384,7 @@ class TestRowArraysRoundTrip:
     rows)."""
 
     def _build(self, backend_name):
-        lp = LPProblem(backend=get_backend(backend_name))
+        lp = LPProblem(backend=BACKENDS[backend_name]())
         x, y = lp.fresh_nonneg("x"), lp.fresh_nonneg("y")
         lp.add_eq(AffForm.of_var(x) + AffForm.of_var(y) - 10.0)
         lp.add_ge(AffForm.of_var(x) - 2.0)
@@ -375,7 +392,7 @@ class TestRowArraysRoundTrip:
 
     @staticmethod
     def _replica(backend_name):
-        replica = LPProblem(backend=get_backend(backend_name))
+        replica = LPProblem(backend=BACKENDS[backend_name]())
         replica.fresh_nonneg("x")
         replica.fresh_nonneg("y")
         return replica

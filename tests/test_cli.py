@@ -120,7 +120,7 @@ class TestCli:
         out = io.StringIO()
         code = run(
             ["fuzz", "--seed", "10", "--count", "2", "--samples", "400",
-             "--jobs", "2", "--executor", "thread", "--backend", "dense",
+             "--jobs", "2", "--executor", "thread",
              "--cache-dir", str(tmp_path / "cache"),
              "--out", str(tmp_path / "violations")],
             out=out,

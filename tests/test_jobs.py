@@ -78,9 +78,27 @@ class TestPayloads:
         with pytest.raises(RequestError):
             analyze_payload("not appl at all", {})
         with pytest.raises(RequestError):
-            analyze_payload(SIMPLE, {"bogus_option": 1})
-        with pytest.raises(RequestError):
             analyze_payload("", {})
+        # Unknown keys, including the retired LP ``backend`` selector.
+        for options in ({"bogus_option": 1}, {"backend": "incremental"}):
+            with pytest.raises(RequestError, match="unknown options"):
+                analyze_payload(SIMPLE, options)
+        # Mistyped values are rejected, not coerced: booleans must be JSON
+        # booleans, counts must be JSON integers.
+        for options in (
+            {"upper_only": "false"},
+            {"lexicographic": "false"},
+            {"check": "no"},
+            {"lp_reduce": 0},
+            {"moments": 2.9},
+            {"moments": True},
+            {"degree": True},
+            {"degree_cap": 1.5},
+        ):
+            with pytest.raises(RequestError, match="must be"):
+                analyze_payload(SIMPLE, options)
+        # Integral JSON numbers are integers.
+        assert options_from_dict({"moments": 3.0}).moment_degree == 3
 
     def test_options_roundtrip(self):
         cases = [
@@ -93,7 +111,7 @@ class TestPayloads:
                 lexicographic=False,
                 lp_bound=1e9,
             ),
-            AnalysisOptions(backend="incremental", lp_reduce=False),
+            AnalysisOptions(lp_reduce=False),
         ]
         for options in cases:
             back = options_from_dict(options_to_dict(options))

@@ -1,19 +1,19 @@
-"""The vectorized symbolic kernel must be invisible: same numbers, faster.
+"""The symbolic kernel must be invisible: same numbers, faster.
 
-Three layers of evidence, from unit to end-to-end:
+The kernel is the analyzer's only derivation path; ``dict_path_oracle``
+keeps the textbook dict loops it replaces.  Three layers of evidence, from
+unit to end-to-end:
 
 1. Property suites over seeded random polynomials (dyadic coefficients, as
-   in the PR 3 fuzz generator, so float arithmetic round-trips exactly):
-   the compiled array kernel and the legacy dict path agree *exactly* on
-   add/mul/scale/substitute/moment-replacement, and the plan-routed
-   template operations reproduce the legacy results including coefficient
-   dict insertion order (which feeds LP row layout).
-2. Constraint-system parity: the LP emitted with the kernel enabled is
+   in the fuzz generator, so float arithmetic round-trips exactly): the
+   plan-routed template operations reproduce the oracle results including
+   coefficient dict insertion order (which feeds LP row layout).
+2. Constraint-system parity: the LP emitted by certificate emission is
    byte-identical — same triplets, same row order, same variable names —
-   to the one emitted under ``REPRO_DISABLE_POLY_KERNEL``.
+   to the oracle's per-product loop.
 3. Analyzer parity: `analyze` bounds are identical (same floats, not just
    close) for the fixed-seed fuzz corpus and registry programs with the
-   kernel on and off.
+   oracle loops swapped into the analyzer.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dict_path_oracle as oracle
 from repro import AnalysisOptions, AnalysisPipeline
 from repro.analysis.annotations import MomentAnnotation, PolyInterval
 from repro.logic.handelman import (
@@ -32,17 +33,11 @@ from repro.logic.handelman import (
 from repro.logic.context import Context
 from repro.logic.linear import LinExpr, LinIneq
 from repro.lp.affine import AffForm
-from repro.lp.backends import get_backend
+from repro.lp.backends import ScipyDenseBackend
 from repro.lp.backends.base import EQ, GE
 from repro.lp.core import LPInfeasibleError
 from repro.lp.problem import LPProblem
-from repro.poly import kernel
-from repro.poly.kernel import (
-    ExpectationPlan,
-    clear_plan_caches,
-    kernel_override,
-    substitution_plan,
-)
+from repro.poly.kernel import ExpectationPlan, clear_plan_caches, substitution_plan
 from repro.poly.monomial import Monomial, intern_id, monomial_of_id, product_id
 from repro.poly.polynomial import Polynomial
 from repro.programs.fuzz import generate_corpus
@@ -153,48 +148,20 @@ class TestInternTable:
 
 
 # ---------------------------------------------------------------------------
-# Compiled polynomials
+# Plans: identical values AND identical insertion order
 # ---------------------------------------------------------------------------
 
 
-class TestCompiledPoly:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            p = random_poly(rng)
-            assert p.compiled().to_polynomial().coeffs == p.coeffs
-
-    def test_add_matches_dict_path(self):
-        rng = np.random.default_rng(13)
-        for _ in range(150):
-            p, q = random_poly(rng), random_poly(rng)
-            compiled = p.compiled() + q.compiled()
-            assert compiled.to_polynomial().coeffs == (p + q).coeffs
-
-    def test_mul_matches_dict_path(self):
-        rng = np.random.default_rng(17)
-        with kernel_override(False):  # legacy reference product
-            for _ in range(150):
-                p, q = random_poly(rng), random_poly(rng)
-                compiled = p.compiled() * q.compiled()
-                assert compiled.to_polynomial().coeffs == (p * q).coeffs
-
-    def test_scale_matches_dict_path(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            p = random_poly(rng)
-            s = int(rng.integers(-32, 33)) / 8.0
-            assert p.compiled().scale(s).to_polynomial().coeffs == p.scale(s).coeffs
+class TestPolynomialEntryPoints:
+    """``Polynomial.substitute`` / ``expect_powers`` route through the plans."""
 
     def test_substitute_matches_dict_path(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             p, repl = random_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
             var = VARS[int(rng.integers(0, len(VARS)))]
-            with kernel_override(False):
-                expected = p.substitute(var, repl)
-            compiled = p.compiled().substitute(var, repl)
-            assert compiled.to_polynomial().coeffs == expected.coeffs
+            expected = oracle.substitute(p, var, repl)
+            assert poly_items(p.substitute(var, repl)) == poly_items(expected)
 
     def test_expect_powers_matches_dict_path(self):
         rng = np.random.default_rng(29)
@@ -202,27 +169,15 @@ class TestCompiledPoly:
         for _ in range(100):
             p = random_poly(rng)
             var = VARS[int(rng.integers(0, len(VARS)))]
-            expected = p.expect_powers(var, moments.__getitem__)
-            compiled = p.compiled().expect_powers(var, moments.__getitem__)
-            assert compiled.to_polynomial().coeffs == expected.coeffs
+            expected = oracle.expect_powers(p, var, moments.__getitem__)
+            got = p.expect_powers(var, moments.__getitem__)
+            assert poly_items(got) == poly_items(expected)
 
-    def test_evaluate_matches(self):
-        rng = np.random.default_rng(31)
-        env = {"x": 1.5, "y": -2.0, "d": 3.0}
-        for _ in range(50):
-            p = random_poly(rng)
-            assert p.compiled().evaluate(env) == p.evaluate(env)
-
-    def test_template_rejected(self):
-        lp = LPProblem(backend=get_backend("dense"))
-        poly = Polynomial({Monomial.of("x"): AffForm.of_var(lp.fresh("u"))})
+    def test_template_replacement_rejected(self):
+        lp = LPProblem(backend=ScipyDenseBackend())
+        template = Polynomial({Monomial.of("y"): AffForm.of_var(lp.fresh("u"))})
         with pytest.raises(TypeError):
-            poly.compiled()
-
-
-# ---------------------------------------------------------------------------
-# Plans: identical values AND identical insertion order
-# ---------------------------------------------------------------------------
+            Polynomial.var("x").substitute("x", template)
 
 
 class TestPlans:
@@ -231,8 +186,7 @@ class TestPlans:
         for _ in range(120):
             p, repl = random_poly(rng), random_poly(rng, max_terms=3, max_exp=2)
             var = VARS[int(rng.integers(0, len(VARS)))]
-            with kernel_override(False):
-                expected = p.substitute(var, repl)
+            expected = oracle.substitute(p, var, repl)
             clear_plan_caches()
             got = substitution_plan(var, repl).apply(p)
             assert poly_items(got) == poly_items(expected)
@@ -240,12 +194,11 @@ class TestPlans:
     def test_substitution_plan_on_templates(self):
         rng = np.random.default_rng(41)
         for _ in range(60):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
             p = random_template(rng, lp)
             repl = random_poly(rng, max_terms=3, max_exp=2)
             var = VARS[int(rng.integers(0, len(VARS)))]
-            with kernel_override(False):
-                expected = p.substitute(var, repl)
+            expected = oracle.substitute(p, var, repl)
             clear_plan_caches()
             got = substitution_plan(var, repl).apply(p)
             assert poly_items(got) == poly_items(expected)
@@ -259,10 +212,10 @@ class TestPlans:
         rng = np.random.default_rng(43)
         moments = {k: (2.0 ** -k) * 3 for k in range(1, 16)}
         for _ in range(60):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
             p = random_template(rng, lp)
             var = VARS[int(rng.integers(0, len(VARS)))]
-            expected = p.expect_powers(var, moments.__getitem__)
+            expected = oracle.expect_powers(p, var, moments.__getitem__)
             got = ExpectationPlan(var, moments.__getitem__).apply(p)
             assert poly_items(got) == poly_items(expected)
 
@@ -271,10 +224,10 @@ class TestPlans:
         assert substitution_plan("x", repl) is substitution_plan("x", repl)
 
     def test_annotation_ops_match_with_kernel_off(self):
-        """prefix_cost / prob_mix / oplus_all: fused vs legacy chains."""
+        """prefix_cost / prob_mix / oplus_all: fused vs chained oracle."""
         rng = np.random.default_rng(47)
         for _ in range(30):
-            lp = LPProblem(backend=get_backend("dense"))
+            lp = LPProblem(backend=ScipyDenseBackend())
 
             def ann():
                 return MomentAnnotation(
@@ -287,19 +240,17 @@ class TestPlans:
             a, b = ann(), ann()
             cost = int(rng.integers(-8, 9)) / 4.0
             prob = int(rng.integers(1, 16)) / 16.0
-            with kernel_override(True):
-                fused = (
-                    a.prefix_cost(cost),
-                    a.prob_mix(prob, b),
-                    MomentAnnotation.oplus_all([a, b, a]),
-                )
-            with kernel_override(False):
-                legacy = (
-                    a.prefix_cost(cost),
-                    a.prob_mix(prob, b),
-                    MomentAnnotation.oplus_all([a, b, a]),
-                )
-            for got, want in zip(fused, legacy):
+            fused = (
+                a.prefix_cost(cost),
+                a.prob_mix(prob, b),
+                MomentAnnotation.oplus_all([a, b, a]),
+            )
+            chained = (
+                oracle.prefix_cost(a, cost),
+                oracle.prob_mix(a, prob, b),
+                oracle.oplus_all([a, b, a]),
+            )
+            for got, want in zip(fused, chained):
                 for iv_g, iv_w in zip(got.intervals, want.intervals):
                     assert poly_items(iv_g.lo) == poly_items(iv_w.lo)
                     assert poly_items(iv_g.hi) == poly_items(iv_w.hi)
@@ -335,24 +286,21 @@ class TestEmissionParity:
         ctx = _ctx(({"x": 1.0}, 0.0), ({"x": -1.0, "d": 1.0}, 2.0))
         for trial in range(25):
             fingerprints = []
-            for enabled in (True, False):
+            for emit in (emit_nonneg_certificate, oracle.emit_nonneg_certificate):
                 clear_certificate_caches()
                 clear_plan_caches()
-                lp = LPProblem(backend=get_backend("dense"))
+                lp = LPProblem(backend=ScipyDenseBackend())
                 template_rng = np.random.default_rng(1000 + trial)
                 poly = random_template(template_rng, lp)
                 minus = random_template(template_rng, lp)
                 error = None
-                with kernel_override(enabled):
-                    try:
-                        emit_nonneg_certificate(
-                            lp, ctx, poly, 2, label=f"t{trial}", minus=minus
-                        )
-                    except LPInfeasibleError as err:
-                        # A trivially contradictory row (all-constant target)
-                        # must surface identically — same message, same
-                        # partially emitted system — on both paths.
-                        error = str(err)
+                try:
+                    emit(lp, ctx, poly, 2, label=f"t{trial}", minus=minus)
+                except LPInfeasibleError as err:
+                    # A trivially contradictory row (all-constant target)
+                    # must surface identically — same message, same
+                    # partially emitted system — on both paths.
+                    error = str(err)
                 fingerprints.append((error, _lp_fingerprint(lp)))
             assert fingerprints[0] == fingerprints[1]
 
@@ -404,28 +352,29 @@ def _bounds_fingerprint(result):
     )
 
 
+def _analyze(program, options):
+    clear_certificate_caches()
+    clear_plan_caches()
+    try:
+        return _bounds_fingerprint(AnalysisPipeline(program).analyze(options))
+    except LPInfeasibleError as err:
+        return ("infeasible", str(err))
+
+
 def _analyze_both(program, options):
-    outcomes = []
-    for enabled in (True, False):
-        clear_certificate_caches()
-        clear_plan_caches()
-        with kernel_override(enabled):
-            try:
-                outcomes.append(
-                    _bounds_fingerprint(AnalysisPipeline(program).analyze(options))
-                )
-            except LPInfeasibleError as err:
-                outcomes.append(("infeasible", str(err)))
-    return outcomes
+    """(kernel, oracle) fingerprints of one analysis."""
+    kernel = _analyze(program, options)
+    with oracle.installed():
+        return kernel, _analyze(program, options)
 
 
 class TestAnalyzerParity:
     def test_fuzz_corpus_bounds_identical(self):
         for case in generate_corpus(8, seed=0):
-            on, off = _analyze_both(
+            got, want = _analyze_both(
                 case.parse(), AnalysisOptions(moment_degree=2)
             )
-            assert on == off, f"kernel changed bounds for fuzz seed {case.seed}"
+            assert got == want, f"kernel changed bounds for fuzz seed {case.seed}"
 
     def test_registry_programs_bounds_identical(self):
         from repro.programs import registry
@@ -449,29 +398,10 @@ class TestAnalyzerParity:
                 degree_cap=bench.degree_cap,
                 objective_valuations=(bench.valuation,),
             )
-            on, off = _analyze_both(registry.parsed(name), options)
-            assert on == off, f"kernel changed bounds for registry {name!r}"
+            got, want = _analyze_both(registry.parsed(name), options)
+            assert got == want, f"kernel changed bounds for registry {name!r}"
 
     def test_synthetic_m4_bounds_identical(self):
         for program in (coupon_chain(3), rdwalk_chain(1)):
-            on, off = _analyze_both(program, AnalysisOptions(moment_degree=4))
-            assert on == off
-
-    def test_kill_switch_env(self):
-        """REPRO_DISABLE_POLY_KERNEL mirrors REPRO_DISABLE_HIGHS at import."""
-        import os
-        import pathlib
-        import subprocess
-        import sys
-
-        repo = pathlib.Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["REPRO_DISABLE_POLY_KERNEL"] = "1"
-        env["PYTHONPATH"] = str(repo / "src")
-        code = (
-            "from repro.poly.kernel import kernel_enabled; "
-            "import sys; sys.exit(0 if not kernel_enabled() else 1)"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=repo)
-        assert proc.returncode == 0
-        assert kernel.kernel_enabled() in (True, False)  # current process sane
+            got, want = _analyze_both(program, AnalysisOptions(moment_degree=4))
+            assert got == want

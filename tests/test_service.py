@@ -8,6 +8,7 @@ import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -188,6 +189,19 @@ class TestCachedPipeline:
         assert warm_cache.stats.disk_hits >= 1
         assert warm_cache.stats.misses == 0
         assert warm.summary() == cold.summary()
+
+    def test_base_bundle_from_disk_derives_like_a_fresh_one(self, tmp_path):
+        """A new session that reads the static/context bundle from disk but
+        derives a new constraint system must see the same contexts: the
+        context map is pickled with its AST, keyed by the nodes themselves."""
+        AnalysisPipeline(parse_program(RDWALK), artifacts=ArtifactCache(tmp_path)).analyze(OPTS)
+        higher = replace(OPTS, moment_degree=3)
+        warm_cache = ArtifactCache(tmp_path)
+        warm = AnalysisPipeline(parse_program(RDWALK), artifacts=warm_cache).analyze(higher)
+        assert warm_cache.stats.disk_hits >= 1  # the base bundle
+        fresh = analyze(parse_program(RDWALK), higher)
+        assert warm.objective_values == fresh.objective_values
+        assert repr(warm.raw) == repr(fresh.raw)
 
     def test_option_change_misses_program_edit_misses(self, tmp_path):
         cache = ArtifactCache(tmp_path)
@@ -458,7 +472,7 @@ class TestServer:
         server, cache = served
         status, health = _get(server, "/health")
         assert status == 200 and health["status"] == "ok"
-        assert "incremental" in health["backends"]
+        assert "backends" not in health and isinstance(health["highs"], bool)
         _post(server, "/analyze", {"program": SIMPLE, "options": {"moments": 1}})
         status, stats = _get(server, "/cache/stats")
         assert status == 200 and stats["enabled"]
