@@ -44,7 +44,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.analysis.annotations import MomentAnnotation
 from repro.analysis.results import (
@@ -65,6 +64,7 @@ from repro.lang.ast import Program
 from repro.lang.varinfo import ProgramInfo, analyze_program as static_info
 from repro.logic.absint import ContextMap, compute_contexts
 from repro.logic.context import Context
+from repro.lp import small_lp
 from repro.lp.affine import AffForm
 from repro.lp.core import LPError, LPInfeasibleError, LPSolution
 from repro.lp.problem import LPProblem
@@ -656,7 +656,9 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
     """A strictly interior point of the pre-condition polyhedron.
 
     Maximizes the minimum slack (Chebyshev-style) within a +/-100 box, so the
-    objective is evaluated away from degenerate boundary points.
+    objective is evaluated away from degenerate boundary points.  One small
+    LP through :mod:`repro.lp.small_lp`; when it has no optimum (including a
+    context HiGHS cannot load) every variable defaults to 1.0.
     """
     variables = sorted(ctx.variables())
     if not variables or ctx.bottom:
@@ -675,10 +677,9 @@ def _feasible_point(ctx: Context) -> dict[str, float]:
         row[n] = 1.0
         rows.append(row)
         rhs.append(g.expr.const)
-    bounds = [(-100.0, 100.0)] * n + [(None, 10.0)]
-    result = linprog(
-        cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
-    )
+    lower = np.append(np.full(n, -100.0), -np.inf)
+    upper = np.append(np.full(n, 100.0), 10.0)
+    result = small_lp.solve(cost, np.array(rows), np.array(rhs), lower, upper)
     if not result.success:
         return {v: 1.0 for v in variables}
     return {v: float(result.x[index[v]]) for v in variables}

@@ -5,6 +5,13 @@ constraints of Γ is nonnegative (including the vacuous case where Γ is
 infeasible).  By LP duality this is equivalent to the Farkas certificate
 ``e = λ0 + Σ λ_i g_i`` with ``λ >= 0`` that the paper's rewrite functions
 use; solving the primal with HiGHS is both exact enough and simpler.
+
+Each distinct query is one small LP, solved by :mod:`repro.lp.small_lp`
+(HiGHS directly, with the model and options scipy's HiGHS wrapper would
+use) and memoized.  A context HiGHS cannot load — a non-finite
+coefficient, or one beyond HiGHS's matrix-value limit — gets no answer,
+and no answer is read conservatively: it entails nothing beyond the
+trivial, and it is feasible.
 """
 
 from __future__ import annotations
@@ -12,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.logic.linear import LinExpr, LinIneq
+from repro.lp import small_lp
 
 
 @lru_cache(maxsize=100_000)
@@ -27,6 +34,8 @@ def _entails_cached(
         else target.variables()
     )
     if not variables:
+        if not np.isfinite([g.expr.const for g in gamma]).all():
+            return False  # a non-finite row: no answer
         feasible = all(g.expr.const >= 0 for g in gamma)
         return (not feasible) or target.expr.const >= -1e-9
 
@@ -45,18 +54,11 @@ def _entails_cached(
     for v, c in target.expr.coeffs:
         objective[index[v]] = c
 
-    result = linprog(
-        objective,
-        A_ub=a_ub if len(gamma) else None,
-        b_ub=b_ub if len(gamma) else None,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if result.status == 2:  # infeasible context entails everything
+    free = np.full(n, np.inf)
+    result = small_lp.solve(objective, a_ub, b_ub, -free, free)
+    if result.status == small_lp.INFEASIBLE:  # entails everything
         return True
-    if result.status == 3:  # unbounded below
-        return False
-    if not result.success:
+    if not result.success:  # unbounded below, rejected, or failed
         return False
     return result.fun + target.expr.const >= -1e-7
 

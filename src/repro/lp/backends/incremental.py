@@ -17,7 +17,7 @@ second moment, ...):
    instead of cold-starting the whole LP.
 
 The bindings used are the ``highspy`` ones scipy bundles for its own
-``linprog`` wrapper (``scipy.optimize._highspy``), or the standalone
+HiGHS wrapper (``scipy.optimize._highspy``), or the standalone
 ``highspy`` wheel when installed; where neither imports,
 :func:`repro.lp.backends.default_backend` hands out
 :class:`ScipyDenseBackend` instead.
@@ -311,7 +311,14 @@ class IncrementalBackend(LPBackend):
             (100 * regularization, min(bound, 1e8)),
         ]
         deadline = current_deadline()
+        # (effective ridge, box) of every rung that failed cold: a later
+        # rung with the same inputs is the same LP from the same (empty)
+        # basis, e.g. ``min(bound, 1e9)`` once ``bound <= 1e9``.
+        failed_cold: set[tuple[float, float]] = set()
         for reg, box in attempts:
+            rung = (reg if objective is not None else 0.0, box)
+            if rung in failed_cold:
+                continue
             if deadline is not None:
                 deadline.check("lp.solve")
             self._ensure_model(problem, n, box)
@@ -386,6 +393,8 @@ class IncrementalBackend(LPBackend):
             # paying for them on later stages.
             if warm:
                 self._avoid_warm = True
+            else:
+                failed_cold.add(rung)
             h.clearSolver()
             self._basis_valid = False
         self._h = None  # cold model for whatever comes after the fallback

@@ -139,7 +139,15 @@ class ScipyDenseBackend(LPBackend):
         ]
         deadline = current_deadline()
         result = None
+        tried: set[tuple[float, float, str]] = set()
         for reg, box, method in attempts:
+            # A rung whose effective inputs repeat an earlier (failed) one
+            # is the same cold linprog call: once ``bound <= 1e9`` the
+            # ``min(bound, 1e9)`` rung is the plain regularized one.
+            rung = (reg if objective is not None else 0.0, box, method)
+            if rung in tried:
+                continue
+            tried.add(rung)
             solver_options = None
             if deadline is not None:
                 # Budget cap: expiry between attempts raises, and each

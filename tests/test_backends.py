@@ -24,6 +24,7 @@ from repro.lp.backends import (
     default_backend,
     highs_available,
 )
+from repro.lp.core import LPError
 from repro.lp.problem import LPInfeasibleError, LPProblem
 from repro.lp.reduce import reduce_override
 from repro.programs import registry
@@ -344,6 +345,75 @@ class TestBackendRegistry:
         else:  # pragma: no cover - scipy without bundled highspy
             assert isinstance(backend, ScipyDenseBackend)
         assert type(LPProblem().backend) is type(backend)
+
+
+class TestCascadeRungs:
+    """A robustness-cascade rung whose effective inputs repeat a rung that
+    already failed in the same call is skipped: at ``bound=1e8`` the
+    ``min(bound, 1e9)`` rung is the plain regularized one again."""
+
+    @staticmethod
+    def _problem(backend):
+        lp = LPProblem(backend=backend)
+        x = lp.fresh("x")
+        lam = lp.fresh_nonneg("lam")
+        lp.add_ge(AffForm.of_var(x) - AffForm.of_var(lam) - 1.0)
+        return lp, AffForm.of_var(x) + AffForm.of_var(lam)
+
+    def test_dense_skips_repeated_rung(self, monkeypatch):
+        from scipy.optimize import OptimizeResult
+
+        from repro.lp.backends import scipy_dense
+
+        calls = []
+
+        def failing_linprog(c, **kwargs):
+            calls.append(kwargs["method"])
+            return OptimizeResult(
+                status=4, success=False, message="stub", x=None, fun=None
+            )
+
+        monkeypatch.setattr(scipy_dense, "linprog", failing_linprog)
+        lp, objective = self._problem(ScipyDenseBackend())
+        with pytest.raises(LPError, match="stub"):
+            lp.solve(objective, bound=1e8, reduce=False)
+        assert calls == ["highs", "highs-ds", "highs", "highs", "highs-ipm"]
+
+    @pytest.mark.skipif(
+        not highs_available(), reason="stubs the persistent HiGHS model"
+    )
+    def test_incremental_skips_repeated_cold_rung(self, monkeypatch):
+        from repro.lp.backends import incremental
+
+        runs = []
+
+        class FailingHighs:
+            def __init__(self, real):
+                self._real = real
+
+            def __getattr__(self, name):
+                return getattr(self._real, name)
+
+            def run(self):
+                runs.append(1)
+                return self._real.run()
+
+            def getModelStatus(self):
+                return incremental._hs.HighsModelStatus.kUnknown
+
+        real_new = incremental._new_highs
+        monkeypatch.setattr(
+            incremental, "_new_highs", lambda: FailingHighs(real_new())
+        )
+
+        def no_fallback(self, *args):
+            raise LPError("dense fallback reached")
+
+        monkeypatch.setattr(IncrementalBackend, "_fallback_dense", no_fallback)
+        lp, objective = self._problem(IncrementalBackend())
+        with pytest.raises(LPError, match="dense fallback reached"):
+            lp.solve(objective, bound=1e8, reduce=False)
+        assert len(runs) == 3
 
 
 class TestInfeasibilityDiagnostics:

@@ -111,6 +111,23 @@ class TestEntailment:
     def test_unbounded_direction(self):
         assert not entail.entails((ineq("x >= 0"),), ineq("y >= 0"))
 
+    def test_rejected_model_entails_nothing_and_is_feasible(self):
+        """HiGHS refuses a matrix entry >= 1e15.  x = y = 0 satisfies this
+        context, so reading the refusal as "infeasible" would be unsound."""
+        huge = LinIneq(LinExpr.build({"x": 1e16, "y": 1.0}))
+        gamma = (ineq("x >= 0"), huge)
+        assert not entail.entails(gamma, ineq("x <= -5"))
+        assert entail.is_feasible(gamma)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coefficient_gets_no_answer(self, bad):
+        gamma = (ineq("x >= 0"), LinIneq(LinExpr.build({"x": bad, "y": 1.0})))
+        assert not entail.entails(gamma, ineq("x <= -5"))
+        assert entail.is_feasible(gamma)
+        constant = (LinIneq(LinExpr.constant(bad)),)
+        assert not entail.entails(constant, ineq("x <= -5"))
+        assert entail.is_feasible(constant)
+
 
 class TestContext:
     def test_assume_and_entails(self):
