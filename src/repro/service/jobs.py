@@ -42,6 +42,7 @@ Job kinds:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import socket
@@ -484,12 +485,20 @@ def worker_main(
     drain_and_exit: bool = False,
     max_jobs: "int | None" = None,
     job_timeout: "float | None" = None,
+    wake=None,
 ) -> int:
     """Entry point of one fleet worker (runs in its own process).
 
     Loops lease → execute → ack/nack until SIGTERM (graceful: the in-flight
     job is finished and acked first) or, with ``drain_and_exit``, until the
     queue is empty.  Returns the number of jobs executed.
+
+    ``wake`` is the fleet's semaphore of wake tokens (see
+    :meth:`WorkerPool.wake`): after an empty lease the worker waits to
+    take a token for at most ``poll`` seconds, so a job whose enqueuer
+    woke the fleet is leased at once.  The poll remains the fallback for
+    jobs enqueued by another process and for retries whose backoff is
+    still running.
 
     ``job_timeout`` is the default per-job runtime cap (seconds) past
     which the heartbeat stops renewing the lease; a job payload's
@@ -525,11 +534,17 @@ def worker_main(
                 # still counts as work, so the fleet outlives it.
                 if drain_and_exit and store.depth() == 0:
                     break
-                # Interruptible idle wait (small chunks so SIGTERM lands).
-                waited = 0.0
-                while waited < poll and not stop["flag"]:
-                    time.sleep(0.05)
-                    waited += 0.05
+                # Idle wait until woken or ``poll`` runs out, in small
+                # chunks so SIGTERM lands.
+                until = time.monotonic() + poll
+                while not stop["flag"]:
+                    left = until - time.monotonic()
+                    if left <= 0:
+                        break
+                    if wake is None:
+                        time.sleep(min(0.05, left))
+                    elif wake.acquire(timeout=min(0.05, left)):
+                        break
                 continue
             payload = job.payload if isinstance(job.payload, dict) else {}
             try:
@@ -572,6 +587,14 @@ class WorkerPool:
     store's lease expiry, so a crash costs one visibility timeout, not the
     job.  ``stop()`` SIGTERMs every worker and waits for the graceful
     drain; stragglers are killed after ``timeout``.
+
+    An in-process enqueuer calls :meth:`wake` once its enqueue has
+    committed, so idle workers lease the job at once instead of at the end
+    of their ``poll`` wait.  The wake is a bounded semaphore of tokens, not
+    a ``multiprocessing.Event``: the Event's condition variable makes
+    ``set()`` block for good once a worker is SIGKILLed while waiting on
+    it, and then every worker blocks too.  A semaphore has no owner, so a
+    killed worker leaves it usable.
     """
 
     def __init__(
@@ -597,6 +620,10 @@ class WorkerPool:
         self.respawn = respawn and not drain_and_exit
         self.drain_and_exit = drain_and_exit
         self.respawned = 0
+        # Wake tokens, at most one pending per worker; none at the start.
+        self._wake = multiprocessing.BoundedSemaphore(workers)
+        for _ in range(workers):
+            self._wake.acquire()
         self._procs: list = []
         self._stopping = False
         self._lock = threading.Lock()
@@ -605,8 +632,6 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------------
 
     def _spawn(self, worker_id: int):
-        import multiprocessing
-
         proc = multiprocessing.Process(
             target=worker_main,
             args=(self.db_path, worker_id, self.cache_dir),
@@ -615,12 +640,23 @@ class WorkerPool:
                 "poll": self.poll,
                 "drain_and_exit": self.drain_and_exit,
                 "job_timeout": self.job_timeout,
+                "wake": self._wake,
             },
             daemon=True,
             name=f"repro-worker-{worker_id}",
         )
         proc.start()
         return proc
+
+    def wake(self) -> None:
+        """There is new work to lease: release a token for each worker, so
+        every idle worker's wait ends.  A worker that is busy takes its
+        token later and pays one empty lease for it."""
+        for _ in range(self.workers):
+            try:
+                self._wake.release()
+            except ValueError:  # a token is pending for every worker
+                return
 
     def start(self) -> "WorkerPool":
         with self._lock:

@@ -97,7 +97,7 @@ class AnalysisService:
         self.max_queued = max_queued
         self.batch_timeout = batch_timeout
         self.started = time.time()
-        self.requests = 0
+        self.requests = 0  # bumped under ``_lock`` by :meth:`count_request`
         self.metrics = ServiceMetrics(
             store=store, cache=cache, pool=pool, service=self
         )
@@ -105,6 +105,12 @@ class AnalysisService:
             OrderedDict()
         )
         self._lock = Lock()
+
+    def count_request(self) -> None:
+        # ``+=`` on an attribute is a read-modify-write: request threads
+        # would lose increments without the lock.
+        with self._lock:
+            self.requests += 1
 
     # -- warm pipelines ------------------------------------------------------
 
@@ -270,6 +276,8 @@ class AnalysisService:
             )
         else:
             raise RequestError(f"unknown job kind {kind!r}")
+        if not deduped and self.pool is not None:
+            self.pool.wake()  # the enqueue has committed: no idle poll wait
         job = store.get(job_id)
         return {
             "ok": True,
@@ -345,6 +353,7 @@ class AnalysisService:
                 dedupe=bool(payload.get("dedupe", False)),
             )
             ids.append(job_id)
+        self.pool.wake()
         started = time.perf_counter()
         jobs = wait_for_jobs(store, ids, timeout=timeout)
         items = []
@@ -458,6 +467,11 @@ class BackpressureError(RequestError):
     """Queue at the --max-queued limit; mapped to HTTP 429."""
 
 
+class UnframedRequestError(RequestError):
+    """A body whose ``Content-Length`` is not a non-negative integer; mapped
+    to HTTP 400 and a closed connection."""
+
+
 class AnalysisHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
@@ -469,6 +483,11 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: with Nagle on, a write that
+    # follows still-unacknowledged data (a second send, or the tail of a
+    # response larger than one segment) waits out the client's delayed
+    # ACK, about 40 ms, before it leaves.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -495,15 +514,32 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the head on its own and the body would
+        # follow as a second segment; write the head, the blank line and
+        # the body in one go instead.  (HTTP/0.9 requests get no head.)
+        head = getattr(self, "_headers_buffer", None)
+        self._headers_buffer = []
+        self.wfile.write(b"".join([*head, b"\r\n", body]) if head else body)
+
+    def _read_body(self) -> bytes:
+        """The request body, read in full as ``Content-Length`` frames it,
+        so the next request on a kept-alive connection starts where the
+        client put it."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise UnframedRequestError(f"bad Content-Length {declared!r}")
+        return self.rfile.read(length)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        body = self._read_body()
+        if not body:
             raise RequestError("empty request body")
         try:
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RequestError(f"request body is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
@@ -513,7 +549,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing -------------------------------------------------------------
 
     def do_GET(self) -> None:
-        self.service.requests += 1
+        self.service.count_request()
         path, _, query = self.path.partition("?")
         try:
             if path == "/health":
@@ -564,11 +600,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, status)
 
     def do_POST(self) -> None:
-        self.service.requests += 1
-        if self.path not in ("/analyze", "/check", "/batch", "/jobs"):
-            self._send_json(404, {"ok": False, "error": f"no route {self.path}"})
-            return
+        self.service.count_request()
         try:
+            if self.path not in ("/analyze", "/check", "/batch", "/jobs"):
+                self._read_body()  # drain it: it is not the next request
+                self._send_json(404, {"ok": False, "error": f"no route {self.path}"})
+                return
             payload = self._read_json()
             if self.path == "/analyze":
                 answer, warm = self.service.analyze_request(payload)
@@ -585,6 +622,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200 if deduped else 202, answer)
             else:
                 self._send_json(200, self.service.batch_request(payload))
+        except UnframedRequestError as exc:
+            # Where this body ends is unknown, so nothing after it on this
+            # connection can be parsed: answer, then hang up.
+            self._send_json(
+                400, {"ok": False, "error": str(exc)}, {"Connection": "close"}
+            )
         except BackpressureError as exc:
             self._send_json(429, {"ok": False, "error": str(exc)})
         except RequestError as exc:

@@ -1233,6 +1233,7 @@ def run_campaign(
                 )
                 if not enqueued:
                     break
+                pool.wake()
                 if log:
                     log(
                         f"wave: {len(enqueued)} shards"

@@ -228,12 +228,21 @@ def _reproducer_files(campaign_dir) -> list[str]:
 
 
 class TestCampaignEndToEnd:
-    def test_campaign_completes_and_reports(self, tmp_path):
+    def test_campaign_completes_and_reports(self, tmp_path, monkeypatch):
         db = tmp_path / "q.db"
         start_campaign(db, "e2e", small_config(), tmp_path / "camp")
+        wakes = []
+        real_wake = WorkerPool.wake
+
+        def counting_wake(pool):
+            wakes.append(pool)
+            real_wake(pool)
+
+        monkeypatch.setattr(WorkerPool, "wake", counting_wake)
         report = run_campaign(
             db, "e2e", workers=2, visibility=10.0, wave_timeout=240.0
         )
+        assert wakes  # every shard wave wakes the running fleet
         assert report.complete
         assert report.state == "complete"
         assert report.checked == 8

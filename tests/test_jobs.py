@@ -396,6 +396,22 @@ def queue_server(tmp_path):
     pool.stop(graceful=True, timeout=20.0)
 
 
+@pytest.fixture()
+def sleepy_fleet(tmp_path):
+    """A served 2-worker fleet that polls every 5 s, already idle."""
+    db = tmp_path / "jobs.sqlite3"
+    store = JobStore(db, visibility=5.0)
+    pool = WorkerPool(db, 2, visibility=5.0, poll=5.0, respawn=False).start()
+    server = make_server(port=0, store=store, pool=pool)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    time.sleep(0.5)  # both workers find the queue empty and start waiting
+    yield server, store, pool
+    server.shutdown()
+    server.server_close()
+    pool.stop(graceful=True, timeout=20.0)
+
+
 class TestJobEndpoints:
     def test_enqueue_poll_result(self, queue_server):
         server, _store, _pool = queue_server
@@ -534,6 +550,95 @@ class TestJobEndpoints:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestWake:
+    """An enqueuer in the fleet's process wakes idle workers; the ``poll``
+    wait is only the fallback.  Every fleet here polls every 5 s, so a job
+    done well inside that was leased on a wake."""
+
+    def test_a_wake_token_ends_the_idle_wait(self, store):
+        wake = threading.Semaphore(0)
+        executed = []
+        worker = threading.Thread(
+            target=lambda: executed.append(worker_main(
+                str(store.path), visibility=5.0, poll=5.0, max_jobs=1,
+                wake=wake,
+            )),
+            daemon=True,
+        )
+        worker.start()
+        time.sleep(0.3)  # the worker finds the queue empty and waits
+        store.enqueue({"seconds": 0.0}, kind="sleep")
+        wake.release()
+        worker.join(timeout=2.0)
+        assert not worker.is_alive() and executed == [1]
+
+    def test_post_jobs_wakes_the_fleet(self, sleepy_fleet):
+        server, _store, _pool = sleepy_fleet
+        started = time.monotonic()
+        status, body = _post(server, "/jobs", {"kind": "sleep", "seconds": 0})
+        assert status == 202
+        while time.monotonic() - started < 2.0:
+            status, raw = _get(server, f"/jobs/{body['id']}/result")
+            if status == 200:
+                break
+            time.sleep(0.01)
+        assert status == 200 and json.loads(raw)["state"] == "done"
+
+    def test_batch_fan_out_wakes_the_fleet(self, sleepy_fleet):
+        server, _store, _pool = sleepy_fleet
+        started = time.monotonic()
+        status, body = _post(
+            server, "/batch",
+            {"programs": {"a": SIMPLE, "b": SIMPLE}, "options": FAST},
+        )
+        assert status == 200 and body["queued"] and body["ok"]
+        assert time.monotonic() - started < 4.0
+
+    def test_a_killed_idle_worker_cannot_wedge_the_wake(self, sleepy_fleet):
+        # A multiprocessing.Event would block set() for good here: the
+        # killed worker was asleep on the Event's condition variable.
+        server, store, pool = sleepy_fleet
+        assert pool.kill_worker(0) is not None
+        waker = threading.Thread(target=pool.wake, daemon=True)
+        waker.start()
+        waker.join(timeout=2.0)
+        assert not waker.is_alive()
+        job_id, _ = store.enqueue({"seconds": 0.0}, kind="sleep")
+        pool.wake()
+        [job] = wait_for_jobs(store, [job_id], timeout=2.0, poll=0.01)
+        assert job.state == "done"
+
+    def test_concurrent_enqueuers_never_wait_out_the_poll(self, store):
+        # More workers than cores, three enqueuing threads: every job is
+        # done well before any worker's 5 s poll could have found it.
+        with WorkerPool(
+            store.path, 4, visibility=5.0, poll=5.0, respawn=False
+        ) as pool:
+            time.sleep(0.5)  # every worker finds the queue empty and waits
+            ids = []
+
+            def enqueue():
+                for _ in range(10):
+                    ids.append(store.enqueue({"seconds": 0.0}, kind="sleep")[0])
+                    pool.wake()
+
+            threads = [threading.Thread(target=enqueue) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            jobs = wait_for_jobs(store, ids, timeout=4.0, poll=0.01)
+        assert len(jobs) == 30 and all(job.state == "done" for job in jobs)
+
+    def test_a_job_enqueued_without_a_wake_is_polled_up(self, store):
+        with WorkerPool(store.path, 1, visibility=5.0, poll=0.2):
+            time.sleep(0.3)
+            job_id, _ = store.enqueue({"seconds": 0.0}, kind="sleep")
+            [job] = wait_for_jobs(store, [job_id], timeout=30.0)
+        assert job.state == "done"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Tests for the analysis service layer: artifact cache, batch executor,
 HTTP server, and the canonical program form that content-addresses it all."""
 
+import http.client
 import json
 import multiprocessing
 import pickle
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +25,7 @@ from repro import (
 )
 from repro.lang.printer import canonical_program
 from repro.lang.varinfo import ValidationError
+from repro.programs.registry import all_benchmarks
 from repro.service.cache import program_key
 from repro.service.server import make_server
 
@@ -502,3 +505,94 @@ class TestServer:
         )
         assert args.command == "serve"
         assert args.port == 0 and args.max_pipelines == 4
+
+
+def _connect(server) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(
+        "127.0.0.1", server.server_address[1], timeout=30
+    )
+
+
+def _call(conn: http.client.HTTPConnection, method: str, path: str, body=None):
+    data = None if body is None else json.dumps(body).encode()
+    conn.request(method, path, body=data)
+    response = conn.getresponse()
+    return response.status, response.getheader("Content-Type"), response.read()
+
+
+class TestKeptAliveConnection:
+    """Many requests on one HTTP/1.1 connection, as service clients send
+    them.  A response whose head and body left in two sends, with Nagle on,
+    held its body back until the client's delayed ACK: about 40 ms each."""
+
+    def test_sequential_requests_pay_no_delayed_ack_stall(self, served):
+        server, _ = served
+        conn = _connect(server)
+        try:
+            assert _call(conn, "GET", "/health")[0] == 200  # connects
+            started = time.perf_counter()
+            for _ in range(20):
+                status, _, raw = _call(conn, "GET", "/health")
+                assert status == 200 and json.loads(raw)["status"] == "ok"
+            assert time.perf_counter() - started < 0.4
+        finally:
+            conn.close()
+
+    def test_a_body_over_8_kib_arrives_with_its_head(self, served):
+        # The inline batch's own work is timed out of it: only the wait
+        # between a parsed head and the whole body counts.
+        server, _ = served
+        benches = all_benchmarks()
+        data = json.dumps({
+            "programs": {name: bench.source for name, bench in benches.items()},
+            "options": {"moments": 1},
+        }).encode()
+        conn = _connect(server)
+        try:
+            conn.request("POST", "/batch", body=data)
+            conn.getresponse().read()  # cold: fills the cache
+            waited = 0.0
+            for _ in range(20):
+                conn.request("POST", "/batch", body=data)
+                response = conn.getresponse()  # returns once the head is in
+                started = time.perf_counter()
+                raw = response.read()
+                waited += time.perf_counter() - started
+                assert response.status == 200 and len(raw) > 8192
+            assert waited < 0.4
+        finally:
+            conn.close()
+
+    def test_unknown_post_route_keeps_the_connection_in_step(self, served):
+        server, _ = served
+        conn = _connect(server)
+        try:
+            status, _, raw = _call(conn, "POST", "/nope", {"program": SIMPLE})
+            assert status == 404 and "/nope" in json.loads(raw)["error"]
+            # The unread body used to be parsed as the next request: a 400
+            # HTML error page instead of the health document.
+            status, content_type, raw = _call(conn, "GET", "/health")
+            assert status == 200 and content_type == "application/json"
+            assert json.loads(raw)["status"] == "ok"
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-1", "2.5"])
+    def test_malformed_content_length_is_a_400_and_a_hang_up(
+        self, served, declared
+    ):
+        server, _ = served
+        conn = _connect(server)
+        try:
+            conn.putrequest("POST", "/analyze")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders(json.dumps({"program": SIMPLE}).encode())
+            response = conn.getresponse()
+            error = json.loads(response.read())["error"]
+            assert response.status == 400 and "Content-Length" in error
+            assert response.getheader("Connection") == "close"
+            # http.client reconnects after a close; the server serves on.
+            assert _call(conn, "GET", "/health")[0] == 200
+        finally:
+            conn.close()
