@@ -498,13 +498,16 @@ def worker_main(
     take a token for at most ``poll`` seconds, so a job whose enqueuer
     woke the fleet is leased at once.  The poll remains the fallback for
     jobs enqueued by another process and for retries whose backoff is
-    still running.
+    still running.  Without a ``wake`` nobody can wake the worker, and it
+    waits out the full ``poll``.
 
     ``job_timeout`` is the default per-job runtime cap (seconds) past
     which the heartbeat stops renewing the lease; a job payload's
     ``timeout`` key overrides it per job.  ``None`` leaves uncapped jobs
     beating for as long as they run.
     """
+    if wake is None:
+        wake = threading.Semaphore(0)
     stop = {"flag": False}
 
     def _on_term(signum, frame):  # noqa: ARG001 - signal signature
@@ -539,11 +542,7 @@ def worker_main(
                 until = time.monotonic() + poll
                 while not stop["flag"]:
                     left = until - time.monotonic()
-                    if left <= 0:
-                        break
-                    if wake is None:
-                        time.sleep(min(0.05, left))
-                    elif wake.acquire(timeout=min(0.05, left)):
+                    if left <= 0 or wake.acquire(timeout=min(0.05, left)):
                         break
                 continue
             payload = job.payload if isinstance(job.payload, dict) else {}

@@ -514,12 +514,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
-        # end_headers() would send the head on its own and the body would
-        # follow as a second segment; write the head, the blank line and
-        # the body in one go instead.  (HTTP/0.9 requests get no head.)
-        head = getattr(self, "_headers_buffer", None)
-        self._headers_buffer = []
-        self.wfile.write(b"".join([*head, b"\r\n", body]) if head else body)
+        self.end_headers()
+        self.wfile.write(body)
 
     def _read_body(self) -> bytes:
         """The request body, read in full as ``Content-Length`` frames it,
