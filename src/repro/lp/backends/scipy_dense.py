@@ -126,12 +126,12 @@ class ScipyDenseBackend(LPBackend):
         nonneg = problem.nonneg_indices
         # HiGHS occasionally reports "unknown" on the massively degenerate
         # optimal faces these certificate systems have.  The cascade tries:
-        # the plain problem with each HiGHS variant, then a tiny ridge on
-        # the certificate multipliers (ties broken toward small
-        # certificates), then tighter variable boxes.
+        # the plain problem, then a tiny ridge on the certificate
+        # multipliers (ties broken toward small certificates), then tighter
+        # variable boxes, then interior point.  No "highs-ds" rung: "highs"
+        # already runs the dual simplex on an LP with the same options.
         attempts = [
             (0.0, bound, "highs"),
-            (0.0, bound, "highs-ds"),
             (regularization, bound, "highs"),
             (regularization, min(bound, 1e9), "highs"),
             (100 * regularization, min(bound, 1e8), "highs"),

@@ -377,7 +377,7 @@ class TestCascadeRungs:
         lp, objective = self._problem(ScipyDenseBackend())
         with pytest.raises(LPError, match="stub"):
             lp.solve(objective, bound=1e8, reduce=False)
-        assert calls == ["highs", "highs-ds", "highs", "highs", "highs-ipm"]
+        assert calls == ["highs", "highs", "highs", "highs-ipm"]
 
     @pytest.mark.skipif(
         not highs_available(), reason="stubs the persistent HiGHS model"

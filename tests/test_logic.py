@@ -128,6 +128,50 @@ class TestEntailment:
         assert not entail.entails(constant, ineq("x <= -5"))
         assert entail.is_feasible(constant)
 
+    def test_atom_and_positive_multiple_are_forced(self):
+        gamma = (ineq("x >= 1"), ineq("y <= 2 * x"))
+        for target in (ineq("x >= 1"), ineq("3 * x >= 2"), ineq("y <= 2 * x + 4")):
+            assert entail.forced(gamma, target)
+            assert entail.lp_decision(gamma, target)
+            assert entail.entails(gamma, target)
+
+    @pytest.mark.parametrize(
+        "odd", [1e15, 1e16, float("inf"), float("-inf"), float("nan")]
+    )
+    def test_member_atom_of_unloadable_context_gets_no_answer(self, odd):
+        """A context HiGHS refuses entails nothing, its own atoms included."""
+        member = ineq("x >= 0")
+        gamma = (member, LinIneq(LinExpr.build({"x": odd, "y": 1.0})))
+        assert not entail.forced(gamma, member)
+        assert not entail.entails(gamma, member)
+
+    @pytest.mark.parametrize("tiny", [1e-9, 1e-10])
+    def test_member_atom_with_tiny_coefficient_is_left_to_the_lp(self, tiny):
+        """HiGHS drops a matrix value of magnitude <= 1e-9, so the LP it
+        solves is not the query as written: the LP decides."""
+        atom = LinIneq(LinExpr.build({"x": tiny, "y": 1.0}))
+        gamma = (ineq("x >= 0"), atom)
+        assert not entail.forced(gamma, atom)
+        assert entail.entails(gamma, atom) == entail.lp_decision(gamma, atom)
+
+    def test_negative_multiple_is_not_forced(self):
+        gamma = (ineq("y >= 0"),)
+        target = LinIneq(LinExpr.build({"y": -2.0}))
+        assert not entail.forced(gamma, target)
+        assert not entail.entails(gamma, target)
+
+    def test_multiple_with_negative_slack_is_not_forced(self):
+        gamma = (ineq("y >= 0"),)
+        target = LinIneq(LinExpr.build({"y": 2.0}, -1.0))
+        assert not entail.forced(gamma, target)
+        assert not entail.entails(gamma, target)
+
+    def test_infeasible_context_entails_unforced_targets(self):
+        gamma = (ineq("x >= 1"), ineq("x <= 0"))
+        for target in (ineq("x <= -5"), ineq("y >= 3"), ineq("x + y >= 7")):
+            assert not entail.forced(gamma, target)
+            assert entail.entails(gamma, target)
+
 
 class TestContext:
     def test_assume_and_entails(self):

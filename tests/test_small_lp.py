@@ -1,9 +1,11 @@
 """The small-LP helper behind entailment and the feasible point.
 
 * parity: every small LP the registry programs and the committed fuzz
-  corpus issue gets the status, ``x`` and ``fun`` that
+  corpus issue — the LP of every entailment query, also one decided
+  without it — gets the status, ``x`` and ``fun`` that
   ``linprog(method="highs")`` gives, bit for bit (the oracle lives in
   ``tests/small_lp_oracle.py``);
+* every entailment the structural rule forces is the one the LP decides;
 * a model HiGHS rejects, or one with a non-finite entry, gets no answer;
 * on the analysis path ``linprog`` is not called at all when HiGHS imports.
 """
@@ -16,6 +18,7 @@ import pytest
 
 import small_lp_oracle as oracle
 from repro import AnalysisOptions, analyze
+from repro.logic import entail
 from repro.lp import small_lp
 from repro.lp.backends import highs_available
 from repro.programs import registry
@@ -31,15 +34,22 @@ def _bits(value) -> "bytes | None":
 
 
 @pytest.fixture(scope="module")
-def recorded_lps():
-    """Distinct small LPs of the 42 registry programs and the corpus."""
-    with oracle.recording() as lps:
+def recorded():
+    """Entailment queries and small LPs of the 42 registry programs and
+    the corpus."""
+    with oracle.recording() as recording:
         for name in sorted(registry.all_benchmarks()):
             oracle.small_lps_of(registry.parsed(name))
         for entry in load_corpus(CORPUS_DIR):
             oracle.small_lps_of(entry.case().parse())
-    distinct = {lp.key(): lp for lp in lps}
-    return list(distinct.values())
+    return recording
+
+
+@pytest.fixture(scope="module")
+def recorded_lps(recorded):
+    """Distinct small LPs of the registry and the corpus, one per
+    entailment query whether or not it was forced."""
+    return recorded.lps()
 
 
 class TestLinprogParity:
@@ -62,6 +72,34 @@ class TestLinprogParity:
             assert _bits(got.fun) == _bits(want.fun), lp
             compared += 1
         assert compared == len(recorded_lps)
+
+
+class TestForcedEntailment:
+    def test_forced_decisions_are_the_lp_decisions(self, recorded):
+        """Every distinct query of the registry and the corpus: wherever
+        the structural rule fires, the LP decides the same."""
+        fired = 0
+        for gamma, target in recorded.distinct_queries():
+            if entail.forced(gamma, target):
+                assert entail.lp_decision(gamma, target), (gamma, target)
+                fired += 1
+        assert fired >= 380
+
+    def test_forced_queries_solve_no_lp(self, recorded):
+        """Only the queries the rule leaves open reach HiGHS.  (Queries
+        that differ only in the target's constant share one LP.)"""
+
+        def lp_keys(forced: bool) -> set:
+            return {
+                oracle.as_small_lp(lp).key()
+                for query in recorded.distinct_queries()
+                if entail.forced(*query) == forced
+                and (lp := entail.query_lp(*query)) is not None
+            }
+
+        forced_only = lp_keys(True) - lp_keys(False)
+        assert forced_only
+        assert not forced_only & {lp.key() for lp in recorded.solved}
 
 
 class TestNoAnswer:
@@ -118,10 +156,10 @@ class TestBinding:
 
         monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
         monkeypatch.setattr(scipy_dense, "linprog", counting_linprog)
-        with oracle.recording() as small_lps:
+        with oracle.recording() as recorded:
             result = analyze(
                 registry.parsed("rdwalk"), AnalysisOptions(moment_degree=2)
             )
         assert result.raw_interval(1).hi > 0
-        assert small_lps  # the context analysis did solve small LPs
+        assert recorded.solved  # the analysis did solve small LPs
         assert linprog_calls == []
